@@ -5,9 +5,9 @@ GO ?= go
 BENCHTIME_MATCH ?= 2000x
 BENCHTIME_PIPELINE ?= 3x
 
-.PHONY: check lint-determinism bench-compile build vet test race bench bench-pipeline bench-forest bench-ingest bench-linkd bench-scripts bench-1m chaos
+.PHONY: check lint-fmt lint-determinism bench-compile build vet test race bench bench-pipeline bench-forest bench-ingest bench-linkd bench-scripts bench-1m chaos
 
-## check: the full gate — build, vet, determinism lint, the
+## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
 ## worker-pool primitives behind the analytic pipeline, the
 ## crash-safety stack (WAL storage, collector drain, fault injection),
@@ -15,7 +15,7 @@ BENCHTIME_PIPELINE ?= 3x
 ## plus its spill/merge consumers (the streaming pipeline) get an
 ## explicit vet + race pass so CI keeps gating them even if the package
 ## list is ever narrowed.
-check: lint-determinism bench-compile
+check: lint-fmt lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) vet ./internal/parallel/
@@ -34,6 +34,10 @@ check: lint-determinism bench-compile
 	$(GO) test -race ./internal/linkd/
 	$(GO) test -race -run 'TestSpill|TestStreamReport' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
+
+## lint-fmt: every Go file is gofmt-formatted.
+lint-fmt:
+	test -z "$$(gofmt -l .)"
 
 ## lint-determinism: grep-based guard — the simulation packages must be
 ## pure functions of the seed (no time.Now, no global math/rand, no

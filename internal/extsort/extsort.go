@@ -7,11 +7,13 @@
 //
 // On-disk format: each run is a sequence of frames in the storage WAL
 // framing (uint32 length | uint32 CRC-32C | payload, little endian —
-// storage.AppendFrame / storage.ReadFrame), one encoded item per
-// frame. A torn or corrupt frame is a hard error at merge time: spill
-// files live for the duration of one pipeline run, so unlike the WAL
-// there is no tail to truncate — losing records silently would corrupt
-// every downstream statistic.
+// storage.AppendFrame / storage.ReadFrameInto), one item per frame in
+// whatever encoding the caller's Encode writes; the record streams use
+// the binary record codec of internal/fingerprint. A torn or corrupt
+// frame is a hard error at merge time: spill files live for the
+// duration of one pipeline run, so unlike the WAL there is no tail to
+// truncate — losing records silently would corrupt every downstream
+// statistic.
 //
 // Determinism: Merge yields items in exactly the order Less defines,
 // with ties broken by run index (earlier run wins). Pipelines that need
@@ -33,7 +35,7 @@ import (
 	"fpdyn/internal/storage"
 )
 
-// Options configures a Sorter. Less, Encode and Decode are required;
+// Options configures a Sorter. Less, Encode and NewDecoder are required;
 // the zero value of everything else has a usable default.
 type Options[T any] struct {
 	// Dir is the spill directory; created if absent. Required.
@@ -44,9 +46,12 @@ type Options[T any] struct {
 	// Encode appends the encoding of v to dst and returns the extended
 	// slice (the append-style contract avoids per-item allocations).
 	Encode func(dst []byte, v T) ([]byte, error)
-	// Decode parses one encoded item. The payload slice is only valid
-	// during the call.
-	Decode func(payload []byte) (T, error)
+	// NewDecoder returns the decode function for one merged stream.
+	// Merge calls it once per stream, so state the function keeps (an
+	// intern table) belongs to that stream alone and never needs a
+	// lock. The payload slice is only valid during a call: the decoded
+	// item must not alias it.
+	NewDecoder func() func(payload []byte) (T, error)
 	// MaxRunItems bounds the Push buffer: when it fills, the buffer is
 	// sorted and spilled as one run (default 65536).
 	MaxRunItems int
@@ -104,8 +109,8 @@ func New[T any](opts Options[T]) (*Sorter[T], error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("extsort: Dir is required")
 	}
-	if opts.Less == nil || opts.Encode == nil || opts.Decode == nil {
-		return nil, fmt.Errorf("extsort: Less, Encode and Decode are required")
+	if opts.Less == nil || opts.Encode == nil || opts.NewDecoder == nil {
+		return nil, fmt.Errorf("extsort: Less, Encode and NewDecoder are required")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("extsort: %w", err)
@@ -226,6 +231,7 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 		s.frozen = true
 	}
 	st := &Stream[T]{s: s}
+	decode := s.opts.NewDecoder()
 	for i, path := range s.runs {
 		f, err := os.Open(path)
 		if err != nil {
@@ -233,11 +239,12 @@ func (s *Sorter[T]) Merge() (*Stream[T], error) {
 			return nil, fmt.Errorf("extsort: open run: %w", err)
 		}
 		r := &runReader[T]{
-			s:    s,
-			path: path,
-			f:    f,
-			br:   bufio.NewReaderSize(f, 1<<18),
-			idx:  i,
+			s:      s,
+			decode: decode,
+			path:   path,
+			f:      f,
+			br:     bufio.NewReaderSize(f, 1<<18),
+			idx:    i,
 		}
 		ok, err := r.advance()
 		if err != nil {
@@ -273,32 +280,37 @@ type writerOnly struct{ f storage.SegmentFile }
 func (w writerOnly) Write(p []byte) (int, error) { return w.f.Write(p) }
 
 // runReader is one run's read head: the current decoded item plus the
-// buffered file reader behind it.
+// buffered file reader behind it. The frame buffer is reused for every
+// frame of the run; decode copies what it keeps.
 type runReader[T any] struct {
-	s    *Sorter[T]
-	path string
-	f    *os.File
-	br   *bufio.Reader
-	idx  int
-	cur  T
-	off  int64
+	s      *Sorter[T]
+	decode func(payload []byte) (T, error) // shared by the stream's readers
+	path   string
+	f      *os.File
+	br     *bufio.Reader
+	buf    []byte
+	idx    int
+	cur    T
+	off    int64 // start of the next frame
 }
 
 // advance reads and decodes the next frame. ok=false on a clean EOF at
-// a frame boundary; torn or corrupt frames are hard errors naming the
-// run file and offset.
+// a frame boundary; torn, corrupt and undecodable frames are hard
+// errors naming the run file and the frame's start offset.
 func (r *runReader[T]) advance() (ok bool, err error) {
-	payload, err := storage.ReadFrame(r.br, r.s.opts.MaxFrame)
+	start := r.off
+	payload, err := storage.ReadFrameInto(r.br, r.buf, r.s.opts.MaxFrame)
 	if err != nil {
 		if errors.Is(err, io.EOF) && !errors.Is(err, storage.ErrTornFrame) {
 			return false, nil
 		}
-		return false, fmt.Errorf("extsort: run %s at byte %d: %w", filepath.Base(r.path), r.off, err)
+		return false, fmt.Errorf("extsort: run %s at byte %d: %w", filepath.Base(r.path), start, err)
 	}
+	r.buf = payload
 	r.off += int64(len(payload)) + 8
-	v, err := r.s.opts.Decode(payload)
+	v, err := r.decode(payload)
 	if err != nil {
-		return false, fmt.Errorf("extsort: run %s at byte %d: decode: %w", filepath.Base(r.path), r.off, err)
+		return false, fmt.Errorf("extsort: run %s at byte %d: decode: %w", filepath.Base(r.path), start, err)
 	}
 	r.cur = v
 	return true, nil
@@ -367,8 +379,8 @@ func (h mergeHeap[T]) Less(i, j int) bool {
 	}
 	return h[i].idx < h[j].idx
 }
-func (h mergeHeap[T]) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap[T]) Push(x any)         { *h = append(*h, x.(*runReader[T])) }
+func (h mergeHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap[T]) Push(x any)   { *h = append(*h, x.(*runReader[T])) }
 func (h *mergeHeap[T]) Pop() any {
 	old := *h
 	n := len(old)

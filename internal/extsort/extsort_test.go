@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,12 +9,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"fpdyn/internal/faultinject"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
+
+func atoiDecoder() func(p []byte) (int, error) {
+	return func(p []byte) (int, error) { return strconv.Atoi(string(p)) }
+}
 
 // intSorter builds a Sorter[int] over a test directory.
 func intSorter(t *testing.T, maxRun int, reg *obs.Registry) *Sorter[int] {
@@ -22,7 +28,7 @@ func intSorter(t *testing.T, maxRun int, reg *obs.Registry) *Sorter[int] {
 		Dir:         filepath.Join(t.TempDir(), "spill"),
 		Less:        func(a, b int) bool { return a < b },
 		Encode:      func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
-		Decode:      func(p []byte) (int, error) { return strconv.Atoi(string(p)) },
+		NewDecoder:  atoiDecoder,
 		MaxRunItems: maxRun,
 		Registry:    reg,
 		Name:        "test",
@@ -223,10 +229,10 @@ func TestCorruptRunFails(t *testing.T) {
 func TestSpillWriteFault(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Options[int]{
-		Dir:    filepath.Join(dir, "spill"),
-		Less:   func(a, b int) bool { return a < b },
-		Encode: func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
-		Decode: func(p []byte) (int, error) { return strconv.Atoi(string(p)) },
+		Dir:        filepath.Join(dir, "spill"),
+		Less:       func(a, b int) bool { return a < b },
+		Encode:     func(dst []byte, v int) ([]byte, error) { return strconv.AppendInt(dst, int64(v), 10), nil },
+		NewDecoder: atoiDecoder,
 		OpenFile: func(path string) (storage.SegmentFile, error) {
 			f, err := os.Create(path)
 			if err != nil {
@@ -283,4 +289,109 @@ func TestMetrics(t *testing.T) {
 	if got := snap.Gauges[key("extsort_merge_heap_size")]; got != 0 {
 		t.Fatalf("heap gauge after drain = %v, want 0", got)
 	}
+}
+
+// A frame whose CRC holds but whose payload does not decode is named by
+// the byte where it starts, like the frame errors ReadFrame reports.
+func TestDecodeErrorNamesFrameStart(t *testing.T) {
+	s, err := New(Options[int]{
+		Dir:  filepath.Join(t.TempDir(), "spill"),
+		Less: func(a, b int) bool { return a < b },
+		Encode: func(dst []byte, v int) ([]byte, error) {
+			if v == 7 {
+				return append(dst, 'x'), nil // CRC-valid, not a number
+			}
+			return strconv.AppendInt(dst, int64(v), 10), nil
+		},
+		NewDecoder: atoiDecoder,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.WriteRun([]int{0, 1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := s.Merge()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for {
+		_, ok, err := st.Next()
+		if err != nil {
+			// Seven one-byte payloads of 9 framed bytes each precede it.
+			if want := "run-000000.seg at byte 63: decode"; !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not contain %q", err, want)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("undecodable frame merged without error")
+		}
+	}
+}
+
+// FuzzRunReader feeds arbitrary bytes to the run reader as one run
+// file. It must never panic; what it yields is a prefix of valid
+// frames, and on an error the reported offset is where that prefix
+// ends — the start of the frame that failed.
+func FuzzRunReader(f *testing.F) {
+	var seed []byte
+	for _, p := range []string{"a", "", "bc", "x", "def"} {
+		seed = storage.AppendFrame(seed, []byte(p))
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)-2])
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := New(Options[string]{
+			Dir:    filepath.Join(t.TempDir(), "spill"),
+			Less:   func(a, b string) bool { return a < b },
+			Encode: func(dst []byte, v string) ([]byte, error) { return append(dst, v...), nil },
+			NewDecoder: func() func(p []byte) (string, error) {
+				return func(p []byte) (string, error) {
+					if len(p) > 0 && p[0] == 'x' {
+						return "", errors.New("undecodable")
+					}
+					return string(p), nil
+				}
+			},
+			MaxFrame: 1 << 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		path := filepath.Join(s.opts.Dir, "run-000000.seg")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s.runs = append(s.runs, path)
+		// Next decodes one frame ahead: the item it returns with an
+		// error is valid, the frame after it is not.
+		var valid []byte
+		st, err := s.Merge()
+		for err == nil {
+			v, ok, nerr := st.Next()
+			if nerr == nil && !ok {
+				break
+			}
+			valid = storage.AppendFrame(valid, []byte(v))
+			err = nerr
+		}
+		if st != nil {
+			st.Close()
+		}
+		if err == nil {
+			if !bytes.Equal(valid, data) {
+				t.Fatalf("clean end after %d of %d bytes", len(valid), len(data))
+			}
+			return
+		}
+		if want := fmt.Sprintf("at byte %d:", len(valid)); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q, want offset %d", err, len(valid))
+		}
+	})
 }

@@ -2,8 +2,11 @@
 // the study: every feature of the paper's Table 1, a schema for generic
 // feature iteration (the diff engine, the statistics pipeline and the
 // FP-Stalker linker all walk features generically), stable hashing for
-// anonymous-set grouping, and JSON serialization for the collection
-// protocol.
+// anonymous-set grouping, and the record's two serializations: JSON
+// (the struct tags) for the collection wire, the linkd wire and the
+// JSONL export, and the versioned binary codec of codec.go for every
+// disk layer — spill runs, the storage WAL and snapshots, and the linkd
+// add journal.
 package fingerprint
 
 import (

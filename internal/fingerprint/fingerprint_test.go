@@ -1,6 +1,7 @@
 package fingerprint
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 	"time"
@@ -189,12 +190,12 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 		Browser: "Chrome",
 		OS:      "Windows",
 	}
-	b, err := r.Marshal()
+	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalRecord(b)
-	if err != nil {
+	var got Record
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Time.Equal(r.Time) || got.UserID != r.UserID || got.Cookie != r.Cookie {
@@ -202,12 +203,6 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 	}
 	if !got.FP.Equal(r.FP) {
 		t.Fatal("fingerprint did not round trip")
-	}
-}
-
-func TestUnmarshalRecordError(t *testing.T) {
-	if _, err := UnmarshalRecord([]byte("{not json")); err == nil {
-		t.Fatal("expected error")
 	}
 }
 
@@ -234,15 +229,5 @@ func BenchmarkHash(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		fp.Hash(false)
-	}
-}
-
-func BenchmarkRecordMarshal(b *testing.B) {
-	r := &Record{Time: time.Now(), UserID: "u", Cookie: "c", FP: sample()}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Marshal(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -36,9 +36,9 @@ type uaSlot struct {
 // distinct agent at intern time (not once per entry, and never per
 // candidate).
 type uaPool struct {
-	byStr map[string]uint32
-	slots []*uaSlot // index 0 reserved: 0 is the nil handle
-	free  []uint32
+	byStr        map[string]uint32
+	slots        []*uaSlot // index 0 reserved: 0 is the nil handle
+	free         []uint32
 	hits, misses uint64
 }
 
@@ -100,10 +100,10 @@ type vecSlot struct {
 // hash collision costs one extra compare, never a wrong share. Handle
 // 0 means the empty slice (rule entries carry no set hashes).
 type vecIntern struct {
-	byHash map[uint64][]uint32
-	slots  []vecSlot // index 0 reserved: the nil/empty handle
-	free   []uint32
-	bytes  int64 // payload bytes currently held
+	byHash       map[uint64][]uint32
+	slots        []vecSlot // index 0 reserved: the nil/empty handle
+	free         []uint32
+	bytes        int64 // payload bytes currently held
 	hits, misses uint64
 }
 

@@ -140,14 +140,44 @@ func (o *Options) degrader() degrader {
 	return d
 }
 
-// journalEntry is the payload of one journaled add. Evictions are NOT
-// journaled: eviction is a pure function of (live records, now), so
-// replaying the adds and re-running the evictor reproduces the exact
-// post-eviction state — and Compact writes only live entries, which is
-// where evicted history leaves the disk.
+// journalEntry is one journaled add. Evictions are NOT journaled:
+// eviction is a pure function of (live records, now), so replaying the
+// adds and re-running the evictor reproduces the exact post-eviction
+// state — and Compact writes only live entries, which is where evicted
+// history leaves the disk. The JSON tags are the legacy payload shape,
+// read only by decodeJournalEntry.
 type journalEntry struct {
 	ID  string              `json:"id"`
 	Rec *fingerprint.Record `json:"rec"`
+}
+
+// journalAdd tags a binary journal payload: journalAdd | string id |
+// record in the fingerprint package's binary codec. Journals written
+// before the binary format hold one JSON journalEntry per payload,
+// which starts with '{'.
+const journalAdd byte = 1
+
+func appendJournalEntry(dst []byte, id string, rec *fingerprint.Record) []byte {
+	dst = append(dst, journalAdd)
+	dst = fingerprint.AppendString(dst, id)
+	return fingerprint.AppendRecord(dst, rec)
+}
+
+// decodeJournalEntry parses one journal or snapshot payload, binary or
+// legacy JSON; d's intern table spans one replay.
+func decodeJournalEntry(d *fingerprint.Decoder, payload []byte) (journalEntry, error) {
+	var e journalEntry
+	if len(payload) > 0 && payload[0] == '{' {
+		err := json.Unmarshal(payload, &e)
+		return e, err
+	}
+	d.Reset(payload)
+	if tag := d.Byte(); tag != journalAdd {
+		return e, fmt.Errorf("%w: unknown journal tag %d", fingerprint.ErrMalformed, tag)
+	}
+	e.ID = d.CopyString()
+	e.Rec = d.Record()
+	return e, d.Finish()
 }
 
 // serviceMetrics is the service's obs wiring; the query path performs
@@ -203,6 +233,7 @@ type Service struct {
 	// Queries do not take it (the linkers have their own locks).
 	mu    sync.Mutex
 	wal   *storage.WAL
+	jbuf  []byte // journal payload being encoded, under mu
 	live  map[string]*fingerprint.Record
 	evict *windowEvictor
 
@@ -251,9 +282,10 @@ func Open(opts Options) (*Service, storage.JournalReplayStats, error) {
 		s.m.modeRule.Set(1) // rule-only: the mode gauge tells the truth
 	}
 	if opts.WAL.Dir != "" {
+		var dec fingerprint.Decoder
 		apply := func(payload []byte) error {
-			var e journalEntry
-			if err := json.Unmarshal(payload, &e); err != nil {
+			e, err := decodeJournalEntry(&dec, payload)
+			if err != nil {
 				return fmt.Errorf("linkd: journal entry: %w", err)
 			}
 			if e.ID == "" || e.Rec == nil || e.Rec.FP == nil {
@@ -322,11 +354,8 @@ func (s *Service) Add(id string, rec *fingerprint.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.wal != nil {
-		payload, err := json.Marshal(&journalEntry{ID: id, Rec: rec})
-		if err != nil {
-			return fmt.Errorf("linkd: journal encode: %w", err)
-		}
-		if err := s.wal.AppendPayload(payload); err != nil {
+		s.jbuf = appendJournalEntry(s.jbuf[:0], id, rec)
+		if err := s.wal.AppendPayload(s.jbuf); err != nil {
 			return err
 		}
 	}
@@ -529,12 +558,10 @@ func (s *Service) Compact() (int64, error) {
 
 	covered := active - 1
 	n, err := storage.WriteSnapshotFrames(dir, covered, func(write func(payload []byte) error) error {
-		for i := range cut {
-			payload, err := json.Marshal(&cut[i])
-			if err != nil {
-				return fmt.Errorf("linkd: snapshot encode: %w", err)
-			}
-			if err := write(payload); err != nil {
+		var buf []byte
+		for _, e := range cut {
+			buf = appendJournalEntry(buf[:0], e.ID, e.Rec)
+			if err := write(buf); err != nil {
 				return err
 			}
 		}

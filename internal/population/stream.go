@@ -19,7 +19,7 @@ package population
 // only decides when state is spilled, never what is emitted.
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -39,10 +39,10 @@ import (
 // plus its ground truth, the unit the run files frame and the merged
 // stream yields.
 type StreamItem struct {
-	Rec        *fingerprint.Record `json:"rec"`
-	Instance   int                 `json:"inst"`
-	VisitIndex int                 `json:"vi"`
-	Truth      []EventType         `json:"truth,omitempty"`
+	Rec        *fingerprint.Record
+	Instance   int
+	VisitIndex int
+	Truth      []EventType
 }
 
 // StreamOptions configures the out-of-core path. The zero value works:
@@ -117,33 +117,49 @@ func itemLess(a, b StreamItem) bool {
 	return a.Instance < b.Instance
 }
 
+// encodeItem writes one run frame's payload: the binary record, then
+// instance, visit index and the truth events (count-prefixed; an empty
+// list decodes as nil).
 func encodeItem(dst []byte, v StreamItem) ([]byte, error) {
-	b, err := json.Marshal(&v)
-	if err != nil {
-		return dst, err
+	dst = fingerprint.AppendRecord(dst, v.Rec)
+	dst = binary.AppendVarint(dst, int64(v.Instance))
+	dst = binary.AppendVarint(dst, int64(v.VisitIndex))
+	dst = binary.AppendUvarint(dst, uint64(len(v.Truth)))
+	for _, ev := range v.Truth {
+		dst = fingerprint.AppendString(dst, string(ev))
 	}
-	return append(dst, b...), nil
+	return dst, nil
 }
 
-func decodeItem(p []byte) (StreamItem, error) {
-	var v StreamItem
-	err := json.Unmarshal(p, &v)
-	return v, err
+// newItemDecoder returns the decoder of one merged stream; its intern
+// table lives as long as that stream.
+func newItemDecoder() func(p []byte) (StreamItem, error) {
+	var d fingerprint.Decoder
+	return func(p []byte) (StreamItem, error) {
+		d.Reset(p)
+		v := StreamItem{Rec: d.Record(), Instance: d.Int(), VisitIndex: d.Int()}
+		if n := d.Count(); n > 0 {
+			v.Truth = make([]EventType, n)
+			for i := range v.Truth {
+				v.Truth[i] = EventType(d.Intern())
+			}
+		}
+		return v, d.Finish()
+	}
 }
 
 // NewSpillSorter builds an extsort sorter for StreamItem runs under
-// dir, ordered by (time, serial). The report's by-instance re-sort
-// reuses the same codec with a different order through extsort
-// directly; this helper is the (time, serial) record stream.
+// dir, ordered by (time, serial), with items in the binary record
+// codec of internal/fingerprint.
 func NewSpillSorter(dir, name string, reg *obs.Registry, open func(string) (storage.SegmentFile, error)) (*extsort.Sorter[StreamItem], error) {
 	return extsort.New(extsort.Options[StreamItem]{
-		Dir:      dir,
-		Less:     itemLess,
-		Encode:   encodeItem,
-		Decode:   decodeItem,
-		OpenFile: open,
-		Registry: reg,
-		Name:     name,
+		Dir:        dir,
+		Less:       itemLess,
+		Encode:     encodeItem,
+		NewDecoder: newItemDecoder,
+		OpenFile:   open,
+		Registry:   reg,
+		Name:       name,
 	})
 }
 

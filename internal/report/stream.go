@@ -23,7 +23,7 @@ package report
 // in-memory Reporter's bytes for the same records.
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -140,9 +140,27 @@ type StreamReporter struct {
 // (time, serial)-sorted, so Seq preserves exactly that order within
 // each group).
 type grouped struct {
-	ID  string              `json:"id"`
-	Seq int64               `json:"seq"`
-	Rec *fingerprint.Record `json:"rec"`
+	ID  string
+	Seq int64
+	Rec *fingerprint.Record
+}
+
+// encodeGrouped writes one regroup frame's payload: the binary record,
+// then the canonical ID and the stream position.
+func encodeGrouped(dst []byte, v grouped) ([]byte, error) {
+	dst = fingerprint.AppendRecord(dst, v.Rec)
+	dst = fingerprint.AppendString(dst, v.ID)
+	return binary.AppendVarint(dst, v.Seq), nil
+}
+
+// newGroupedDecoder returns the decoder of one merged regroup stream.
+func newGroupedDecoder() func(p []byte) (grouped, error) {
+	var d fingerprint.Decoder
+	return func(p []byte) (grouped, error) {
+		d.Reset(p)
+		v := grouped{Rec: d.Record(), ID: d.CopyString(), Seq: d.Varint()}
+		return v, d.Finish()
+	}
 }
 
 func groupedLess(a, b grouped) bool {
@@ -233,20 +251,10 @@ func NewStream(src RecordSource, images dynamics.ImageProvider, w io.Writer, opt
 		defer os.RemoveAll(root)
 	}
 	sorter, err := extsort.New(extsort.Options[grouped]{
-		Dir:  filepath.Join(root, "regroup"),
-		Less: groupedLess,
-		Encode: func(dst []byte, v grouped) ([]byte, error) {
-			b, err := json.Marshal(&v)
-			if err != nil {
-				return dst, err
-			}
-			return append(dst, b...), nil
-		},
-		Decode: func(p []byte) (grouped, error) {
-			var v grouped
-			err := json.Unmarshal(p, &v)
-			return v, err
-		},
+		Dir:         filepath.Join(root, "regroup"),
+		Less:        groupedLess,
+		Encode:      encodeGrouped,
+		NewDecoder:  newGroupedDecoder,
 		MaxRunItems: chunkSize,
 		OpenFile:    opts.OpenFile,
 		Registry:    opts.Registry,

@@ -36,6 +36,13 @@ func AppendFrame(dst, payload []byte) []byte {
 // Other transport errors (deadlines, closed connections) pass through
 // unwrapped so callers can inspect them.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
+	return ReadFrameInto(r, nil, maxFrame)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf's storage
+// when it fits, so a reader that is done with each payload before the
+// next call reuses one buffer. The result aliases buf in that case.
+func ReadFrameInto(r io.Reader, buf []byte, maxFrame int) ([]byte, error) {
 	if maxFrame <= 0 {
 		maxFrame = (&WALOptions{}).maxFrame()
 	}
@@ -50,7 +57,11 @@ func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	if n > maxFrame {
 		return nil, ErrFrameSize
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if payload == nil || cap(payload) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return nil, ErrTornFrame

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"fpdyn/internal/fingerprint"
 )
 
 // FuzzReadFrom: arbitrary snapshot bytes must never panic; valid
@@ -59,22 +61,25 @@ func mkSegment(payloads ...[]byte) []byte {
 // frame that fails its CRC. The seed corpus holds valid segments; the
 // fuzzer mutates them into corrupt ones.
 func FuzzDecodeSegment(f *testing.F) {
-	rec, _ := json.Marshal(walEntry{Record: mkRecord(1), CID: "cid-x", Seq: 7})
-	val, _ := json.Marshal(walEntry{Hash: "aabb", Value: []byte("blob")})
-	f.Add(mkSegment(rec, val, rec))
+	rec := appendRecordEntry(nil, mkRecord(1), "cid-x", 7)
+	val := appendValueEntry(nil, "aabb", []byte("blob"))
+	seqs := appendSeqsEntry(nil, map[string]seqEntry{"cid-x": {Seq: 7, Idx: 0}})
+	legacy, _ := json.Marshal(legacyWALEntry{Record: mkRecord(1), CID: "cid-x", Seq: 7})
+	f.Add(mkSegment(rec, val, rec, seqs))
+	f.Add(mkSegment(legacy, rec))
 	f.Add(mkSegment(val))
 	f.Add(mkSegment())
 	f.Add([]byte{0, 0, 0})                  // torn header
 	f.Add(mkSegment(rec)[:frameHeaderSize]) // torn payload
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var dec fingerprint.Decoder
 		var decoded int64
 		off, err := DecodeSegment(data, 0, func(payload []byte) error {
 			// A payload reaching this callback passed its CRC; it must
 			// also be decodable — a "bogus record" would fail here and
 			// surface as a decode error, never as a stored record.
-			var e walEntry
-			if jerr := json.Unmarshal(payload, &e); jerr != nil {
-				return jerr
+			if _, derr := decodeEntry(&dec, payload); derr != nil {
+				return derr
 			}
 			decoded += frameHeaderSize + int64(len(payload))
 			return nil
@@ -101,8 +106,10 @@ func FuzzDecodeSegment(f *testing.F) {
 // directory: recovery must never panic, and a second recovery over the
 // (possibly truncated) directory must be clean and idempotent.
 func FuzzRecoverSegment(f *testing.F) {
-	rec, _ := json.Marshal(walEntry{Record: mkRecord(2), CID: "cid-y", Seq: 1})
+	rec := appendRecordEntry(nil, mkRecord(2), "cid-y", 1)
+	legacy, _ := json.Marshal(legacyWALEntry{Record: mkRecord(2), CID: "cid-y", Seq: 2})
 	f.Add(mkSegment(rec, rec))
+	f.Add(mkSegment(legacy, rec))
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

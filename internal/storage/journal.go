@@ -18,12 +18,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // AppendPayload journals one opaque payload: framed, checksummed, and
 // fsynced per the WAL's policy before returning. The payload is the
 // caller's to encode; ReplayJournal hands it back verbatim.
-func (w *WAL) AppendPayload(payload []byte) error { return w.append(payload) }
+func (w *WAL) AppendPayload(payload []byte) error {
+	start := time.Now()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.appendLocked(start, payload)
+}
 
 // JournalReplayStats summarizes one ReplayJournal run.
 type JournalReplayStats struct {

@@ -19,7 +19,6 @@
 package storage
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -59,14 +58,14 @@ func listSnapshots(dir string) ([]segRef, error) {
 // written atomically, so any frame error here is real corruption, not
 // a crash signature: recovery fails rather than silently dropping live
 // state.
-func loadSnapshot(path string, maxFrame int, st *Store, stats *RecoveryStats) error {
+func loadSnapshot(path string, maxFrame int, dec *fingerprint.Decoder, st *Store, stats *RecoveryStats) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("storage: snapshot read %s: %w", filepath.Base(path), err)
 	}
 	off, derr := DecodeSegment(data, maxFrame, func(payload []byte) error {
-		var e walEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		e, err := decodeEntry(dec, payload)
+		if err != nil {
 			return fmt.Errorf("storage: snapshot entry: %w", err)
 		}
 		st.applyEntry(&e, stats)
@@ -194,30 +193,25 @@ func (s *Store) Compact() (CompactionStats, error) {
 
 // writeSnapshot writes the cut to snap-tmp, fsyncs it, and renames it
 // into place. Entry order is canonical — values sorted by hash, then
-// records in insertion order, then the idempotency table (one entry;
-// encoding/json sorts map keys) — so equal state yields byte-identical
-// snapshots.
+// records in insertion order, then the idempotency table as one entry
+// sorted by client ID — so equal state yields byte-identical snapshots.
 func writeSnapshot(dir string, cut compactState) (int64, error) {
 	return WriteSnapshotFrames(dir, cut.covered, func(write func(payload []byte) error) error {
-		emit := func(e *walEntry) error {
-			payload, err := json.Marshal(e)
-			if err != nil {
-				return fmt.Errorf("storage: snapshot encode: %w", err)
-			}
-			return write(payload)
-		}
+		var buf []byte
 		for _, h := range cut.hashes {
-			if err := emit(&walEntry{Hash: h, Value: cut.values[h]}); err != nil {
+			buf = appendValueEntry(buf[:0], h, cut.values[h])
+			if err := write(buf); err != nil {
 				return err
 			}
 		}
 		for _, r := range cut.records {
-			if err := emit(&walEntry{Record: r}); err != nil {
+			buf = appendRecordEntry(buf[:0], r, "", 0)
+			if err := write(buf); err != nil {
 				return err
 			}
 		}
 		if len(cut.seqs) > 0 {
-			return emit(&walEntry{Seqs: cut.seqs})
+			return write(appendSeqsEntry(buf[:0], cut.seqs))
 		}
 		return nil
 	})

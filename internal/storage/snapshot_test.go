@@ -520,3 +520,24 @@ func TestCompactMetrics(t *testing.T) {
 		t.Errorf("scrape missing wal_compactions_total 1:\n%s", b.String())
 	}
 }
+
+// TestSeqsEntryDeterministic: the idempotency table is a map, so its
+// snapshot entry must sort client IDs itself for equal state to encode
+// to equal bytes.
+func TestSeqsEntryDeterministic(t *testing.T) {
+	seqs := make(map[string]seqEntry)
+	for i := 0; i < 50; i++ {
+		seqs[fmt.Sprintf("client-%02d", i)] = seqEntry{Seq: uint64(i * 7), Idx: i}
+	}
+	first := appendSeqsEntry(nil, seqs)
+	for i := 0; i < 20; i++ {
+		if !bytes.Equal(appendSeqsEntry(nil, seqs), first) {
+			t.Fatal("equal seq tables encoded to different bytes")
+		}
+	}
+	var d fingerprint.Decoder
+	e, err := decodeEntry(&d, first)
+	if err != nil || len(e.Seqs) != 50 || e.Seqs["client-07"] != (seqEntry{Seq: 49, Idx: 7}) {
+		t.Fatalf("seq table round trip: %v, %d entries", err, len(e.Seqs))
+	}
+}

@@ -11,9 +11,14 @@
 //
 //	uint32 payload length | uint32 CRC-32C of payload | payload
 //
-// The payload is one JSON-encoded walEntry: either a full visit record
-// (with the client-assigned sequence ID that makes resubmission
-// idempotent) or a content-addressed value. Segments rotate at
+// The payload is one binary walEntry (see appendRecordEntry and its
+// siblings): a tag byte, then either a full visit record in the
+// fingerprint package's binary record codec (with the client-assigned
+// sequence ID that makes resubmission idempotent), a content-addressed
+// value, or — in compaction snapshots only — the idempotency table.
+// Logs written before the binary format hold one JSON object per
+// payload; recovery tells the two apart by the first byte ('{' never
+// starts a binary payload) and replays both. Segments rotate at
 // SegmentSize and are named wal-NNNNNNNN.seg; recovery replays them in
 // name order.
 package storage
@@ -144,12 +149,13 @@ func (o *WALOptions) openFile(path string) (SegmentFile, error) {
 	return os.Create(path)
 }
 
-// walEntry is the payload of one frame: exactly one of Record, Hash or
+// walEntry is one decoded frame payload: exactly one of Record, Hash or
 // Seqs is set. CID/Seq carry the client-assigned sequence ID alongside
 // record entries so recovery rebuilds the idempotency table. Seqs only
 // appears in compaction snapshots: the full per-client idempotency
 // table at the snapshot cut (log replay rebuilds it incrementally from
-// record entries instead).
+// record entries instead). The JSON tags are the legacy payload shape,
+// read only by decodeEntry.
 type walEntry struct {
 	Record *fingerprint.Record `json:"rec,omitempty"`
 	CID    string              `json:"cid,omitempty"`
@@ -165,6 +171,76 @@ type walEntry struct {
 type seqEntry struct {
 	Seq uint64 `json:"seq"`
 	Idx int    `json:"idx"`
+}
+
+// Binary payload tags: the first byte of every binary WAL and snapshot
+// payload. None of them is '{', the first byte of a legacy JSON one.
+const (
+	tagRecord byte = 1 // uvarint seq | string client ID | record
+	tagValue  byte = 2 // string hash | bytes value
+	tagSeqs   byte = 3 // uvarint n | n × (string client ID | uvarint seq | varint idx), sorted by client ID
+)
+
+func appendRecordEntry(dst []byte, r *fingerprint.Record, clientID string, seq uint64) []byte {
+	dst = append(dst, tagRecord)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = fingerprint.AppendString(dst, clientID)
+	return fingerprint.AppendRecord(dst, r)
+}
+
+func appendValueEntry(dst []byte, hash string, content []byte) []byte {
+	dst = append(dst, tagValue)
+	dst = fingerprint.AppendString(dst, hash)
+	return fingerprint.AppendBytes(dst, content)
+}
+
+// appendSeqsEntry writes the idempotency table in client-ID order, so
+// equal state encodes to equal bytes.
+func appendSeqsEntry(dst []byte, seqs map[string]seqEntry) []byte {
+	cids := make([]string, 0, len(seqs))
+	for cid := range seqs {
+		cids = append(cids, cid)
+	}
+	sort.Strings(cids)
+	dst = append(dst, tagSeqs)
+	dst = binary.AppendUvarint(dst, uint64(len(cids)))
+	for _, cid := range cids {
+		dst = fingerprint.AppendString(dst, cid)
+		dst = binary.AppendUvarint(dst, seqs[cid].Seq)
+		dst = binary.AppendVarint(dst, int64(seqs[cid].Idx))
+	}
+	return dst
+}
+
+// decodeEntry parses one WAL or snapshot payload, binary or legacy
+// JSON. d's intern table is shared across the payloads of one recovery
+// pass.
+func decodeEntry(d *fingerprint.Decoder, payload []byte) (walEntry, error) {
+	var e walEntry
+	if len(payload) > 0 && payload[0] == '{' {
+		err := json.Unmarshal(payload, &e)
+		return e, err
+	}
+	d.Reset(payload)
+	switch tag := d.Byte(); tag {
+	case tagRecord:
+		e.Seq = d.Uvarint()
+		e.CID = d.CopyString()
+		e.Record = d.Record()
+	case tagValue:
+		e.Hash = d.CopyString()
+		e.Value = d.Bytes()
+	case tagSeqs:
+		n := d.Count()
+		e.Seqs = make(map[string]seqEntry, n)
+		for i := 0; i < n; i++ {
+			cid := d.CopyString()
+			e.Seqs[cid] = seqEntry{Seq: d.Uvarint(), Idx: d.Int()}
+		}
+	default:
+		return e, fmt.Errorf("%w: unknown entry tag %d", fingerprint.ErrMalformed, tag)
+	}
+	return e, d.Finish()
 }
 
 // Sentinel decode errors. ErrTornFrame marks an incomplete tail (the
@@ -190,9 +266,10 @@ type WAL struct {
 
 	mu     sync.Mutex
 	f      SegmentFile
-	seg    int   // current segment number
-	size   int64 // bytes written to current segment
-	buf    []byte
+	seg    int    // current segment number
+	size   int64  // bytes written to current segment
+	buf    []byte // framed bytes of the write in progress
+	enc    []byte // payload being encoded
 	closed bool
 	// err is sticky: after a write or fsync failure the log's tail
 	// state is unknown, so every later append refuses until the
@@ -353,31 +430,29 @@ func (w *WAL) rotateLocked() error {
 // AppendRecord logs one visit record. clientID/seq may be empty/zero
 // for legacy (non-idempotent) appends.
 func (w *WAL) AppendRecord(r *fingerprint.Record, clientID string, seq uint64) error {
-	return w.appendEntry(&walEntry{Record: r, CID: clientID, Seq: seq})
+	start := time.Now()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.enc = appendRecordEntry(w.enc[:0], r, clientID, seq)
+	return w.appendLocked(start, w.enc)
 }
 
 // AppendValue logs one content-addressed value.
 func (w *WAL) AppendValue(hash string, content []byte) error {
-	return w.appendEntry(&walEntry{Hash: hash, Value: content})
-}
-
-func (w *WAL) appendEntry(e *walEntry) error {
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("storage: wal encode: %w", err)
-	}
-	return w.append(payload)
-}
-
-// append frames payload and writes it to the active segment, rotating
-// and syncing per policy. Header and payload go down in a single Write
-// so a crash tears at most one frame. The append-latency observation
-// covers the whole durable path: rotation (if due), the write, and the
-// fsync under SyncAlways.
-func (w *WAL) append(payload []byte) error {
 	start := time.Now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.enc = appendValueEntry(w.enc[:0], hash, content)
+	return w.appendLocked(start, w.enc)
+}
+
+// appendLocked frames payload and writes it to the active segment,
+// rotating and syncing per policy. Header and payload go down in a
+// single Write so a crash tears at most one frame. The append-latency
+// observation, from start, covers the whole durable path: the lock
+// wait, rotation (if due), the write, and the fsync under SyncAlways.
+// Callers hold w.mu.
+func (w *WAL) appendLocked(start time.Time, payload []byte) error {
 	if w.closed {
 		return ErrWALClosed
 	}
@@ -435,14 +510,11 @@ func (w *WAL) AppendRecordBatch(recs []*fingerprint.Record, clientID string, seq
 	}
 	w.buf = w.buf[:0]
 	for i, r := range recs {
-		payload, err := json.Marshal(&walEntry{Record: r, CID: clientID, Seq: seqs[i]})
-		if err != nil {
-			return fmt.Errorf("storage: wal encode: %w", err)
+		w.enc = appendRecordEntry(w.enc[:0], r, clientID, seqs[i])
+		if len(w.enc) > w.opts.maxFrame() {
+			return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(w.enc), w.opts.maxFrame())
 		}
-		if len(payload) > w.opts.maxFrame() {
-			return fmt.Errorf("%w: %d > %d bytes", ErrFrameSize, len(payload), w.opts.maxFrame())
-		}
-		w.buf = AppendFrame(w.buf, payload)
+		w.buf = AppendFrame(w.buf, w.enc)
 	}
 	total := int64(len(w.buf))
 	if w.size > 0 && w.size+total > w.opts.segmentSize() {
@@ -682,11 +754,12 @@ func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
 		return nil, nil, stats, err
 	}
 	st := NewStore()
+	var dec fingerprint.Decoder // one intern table for the whole pass
 	snapSeg := 0
 	if len(snaps) > 0 {
 		sn := snaps[len(snaps)-1]
 		var snapStats RecoveryStats
-		if err := loadSnapshot(filepath.Join(opts.Dir, sn.name), opts.maxFrame(), st, &snapStats); err != nil {
+		if err := loadSnapshot(filepath.Join(opts.Dir, sn.name), opts.maxFrame(), &dec, st, &snapStats); err != nil {
 			return nil, nil, stats, err
 		}
 		snapSeg = sn.n
@@ -708,8 +781,8 @@ func Recover(opts WALOptions) (*Store, *WAL, RecoveryStats, error) {
 			return nil, nil, stats, fmt.Errorf("storage: wal read %s: %w", seg.name, err)
 		}
 		validLen, derr := DecodeSegment(data, opts.maxFrame(), func(payload []byte) error {
-			var e walEntry
-			if err := json.Unmarshal(payload, &e); err != nil {
+			e, err := decodeEntry(&dec, payload)
+			if err != nil {
 				return fmt.Errorf("storage: wal entry: %w", err)
 			}
 			st.applyEntry(&e, &stats)
