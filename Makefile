@@ -11,10 +11,13 @@ BENCHTIME_PIPELINE ?= 3x
 ## bench-compile smoke, and the race-enabled test suite. The
 ## worker-pool primitives behind the analytic pipeline, the
 ## crash-safety stack (WAL storage, collector drain, fault injection),
-## the obs metrics registry, the forest trainer and the external sorter
-## plus its spill/merge consumers (the streaming pipeline) get an
-## explicit vet + race pass so CI keeps gating them even if the package
-## list is ever narrowed.
+## the obs metrics registry, the forest trainer, the external sorter
+## plus its spill/merge consumers (the streaming pipeline) and the
+## FP-Stalker linkers get an explicit vet + race pass so CI keeps
+## gating them even if the package list is ever narrowed. The linkers'
+## concurrency tests run ten times over: TopK reads the key arena and
+## the set vocabulary under the read lock while Add and Remove grow
+## them under the write lock.
 check: lint-fmt lint-determinism bench-compile
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -25,6 +28,7 @@ check: lint-fmt lint-determinism bench-compile
 	$(GO) vet ./internal/scriptsim/
 	$(GO) vet ./internal/extsort/
 	$(GO) vet ./internal/linkd/
+	$(GO) vet ./internal/fpstalker/
 	$(GO) test -race ./internal/parallel/
 	$(GO) test -race ./internal/storage/ ./internal/collector/ ./internal/faultinject/
 	$(GO) test -race ./internal/obs/
@@ -32,6 +36,8 @@ check: lint-fmt lint-determinism bench-compile
 	$(GO) test -race ./internal/scriptsim/
 	$(GO) test -race ./internal/extsort/
 	$(GO) test -race ./internal/linkd/
+	$(GO) test -race ./internal/fpstalker/
+	$(GO) test -race -count=10 -run 'TestConcurrent' ./internal/fpstalker/
 	$(GO) test -race -run 'TestSpill|TestStreamReport' ./internal/population/ ./internal/report/
 	$(GO) test -race ./...
 

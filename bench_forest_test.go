@@ -24,9 +24,9 @@ import (
 	"fpdyn/internal/population"
 )
 
-// BenchmarkTopKLearnScalarVsBatch isolates the batch prediction lever
-// in LearnLinker.TopK: identical table and query, per-pair scalar
-// forest walks versus per-forest-pass candidate blocks.
+// BenchmarkTopKLearnScalarVsBatch times LearnLinker.TopK's batch
+// scoring over the whole table; the scalar-vs-batch forest comparison
+// is the emitter's predict_*_per_sec.
 func BenchmarkTopKLearnScalarVsBatch(b *testing.B) {
 	w := world(b)
 	n := len(w.ds.Records) / 2
@@ -36,25 +36,19 @@ func BenchmarkTopKLearnScalarVsBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := evolvedQuery(w.ds.Records[len(w.ds.Records)/2])
-	for _, mode := range []struct {
-		name   string
-		scalar bool
-	}{{"scalar", true}, {"batch", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			l := fpstalker.NewLearnLinker(forest)
-			l.NoBlocking = true // whole table: the worst case batch scoring targets
-			l.Workers = 1
-			l.ScalarScore = mode.scalar
-			for i, rec := range w.ds.Records {
-				l.Add(fpstalker.InstanceID(w.ds.TrueInstance[i]), rec)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				l.TopK(q, 10)
-			}
-		})
-	}
+	b.Run("batch", func(b *testing.B) {
+		l := fpstalker.NewLearnLinker(forest)
+		l.NoBlocking = true // whole table: the worst case batch scoring targets
+		l.Workers = 1
+		for i, rec := range w.ds.Records {
+			l.Add(fpstalker.InstanceID(w.ds.TrueInstance[i]), rec)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.TopK(q, 10)
+		}
+	})
 }
 
 // --- BENCH_forest.json emitter ----------------------------------------
@@ -86,10 +80,9 @@ type forestBenchReport struct {
 	PredictScalarPerSec float64 `json:"predict_scalar_per_sec"`
 	PredictBatchPerSec  float64 `json:"predict_batch_per_sec"`
 
-	// TopK: mean LearnLinker query latency, scalar vs batch scoring.
-	TopKScalarNs int64 `json:"topk_scalar_ns_per_query"`
-	TopKBatchNs  int64 `json:"topk_batch_ns_per_query"`
-	TopKDBSize   int   `json:"topk_db_size"`
+	// TopK: mean LearnLinker query latency (batch scoring).
+	TopKBatchNs int64 `json:"topk_batch_ns_per_query"`
+	TopKDBSize  int   `json:"topk_db_size"`
 }
 
 // TestEmitForestBench measures pair-model preprocessing, forest
@@ -196,43 +189,29 @@ func TestEmitForestBench(t *testing.T) {
 	rep.PredictScalarPerSec = float64(len(X)) / bestScalar
 	rep.PredictBatchPerSec = float64(len(X)) / bestBatch
 
-	// TopK latency: scalar vs batch scoring over an unblocked table
-	// (the candidate-set shape the paper's Figure 9 measures).
+	// TopK latency over an unblocked table (the candidate-set shape the
+	// paper's Figure 9 measures).
 	topkForest, err := fpstalker.TrainPairModel(ds.Records[:len(ds.Records)/2],
 		ds.TrueInstance[:len(ds.Records)/2],
 		mlearn.ForestConfig{Seed: seed, NumTrees: 15, MaxDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(scalar bool) *fpstalker.LearnLinker {
-		l := fpstalker.NewLearnLinker(topkForest)
-		l.NoBlocking = true
-		l.Workers = 1
-		l.ScalarScore = scalar
-		for i, rec := range ds.Records {
-			l.Add(fpstalker.InstanceID(ds.TrueInstance[i]), rec)
-		}
-		return l
+	batchLinker := fpstalker.NewLearnLinker(topkForest)
+	batchLinker.NoBlocking = true
+	batchLinker.Workers = 1
+	for i, rec := range ds.Records {
+		batchLinker.Add(fpstalker.InstanceID(ds.TrueInstance[i]), rec)
 	}
-	// Alternating rounds, minimum mean per side: on a shared box a
-	// single timed pass can absorb a CPU-steal spike large enough to
-	// invert the comparison; the min of interleaved rounds is the
+	// Minimum mean over rounds: on a shared box a single timed pass can
+	// absorb a CPU-steal spike; the min of repeated rounds is the
 	// standard robust estimator for that regime.
 	qs := ds.Records[:min(200, len(ds.Records))]
-	scalarLinker := mk(true)
-	batchLinker := mk(false)
-	rep.TopKDBSize = scalarLinker.Len()
-	bestScalarNs, bestBatchNs := int64(math.MaxInt64), int64(math.MaxInt64)
+	rep.TopKDBSize = batchLinker.Len()
+	rep.TopKBatchNs = int64(math.MaxInt64)
 	for round := 0; round < 5; round++ {
-		if ns := fpstalker.TimeMatching(scalarLinker, qs, 10).Nanoseconds(); ns < bestScalarNs {
-			bestScalarNs = ns
-		}
-		if ns := fpstalker.TimeMatching(batchLinker, qs, 10).Nanoseconds(); ns < bestBatchNs {
-			bestBatchNs = ns
-		}
+		rep.TopKBatchNs = min(rep.TopKBatchNs, fpstalker.TimeMatching(batchLinker, qs, 10).Nanoseconds())
 	}
-	rep.TopKScalarNs = bestScalarNs
-	rep.TopKBatchNs = bestBatchNs
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -242,7 +221,7 @@ func TestEmitForestBench(t *testing.T) {
 	if err := os.WriteFile(out, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %d pairs, train(30×12) %.2fs serial / %.2fs ncpu, topk scalar %v vs batch %v",
+	t.Logf("wrote %s: %d pairs, train(30×12) %.2fs serial / %.2fs ncpu, topk %v",
 		out, rep.Pairs, rep.Train[0].Seconds, rep.Train[1].Seconds,
-		time.Duration(rep.TopKScalarNs), time.Duration(rep.TopKBatchNs))
+		time.Duration(rep.TopKBatchNs))
 }

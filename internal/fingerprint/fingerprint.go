@@ -96,6 +96,25 @@ func boolStr(b bool) string {
 // "Overall (excluding IP)" row; pass includeIP to reproduce the full
 // "Overall" row.
 func (fp *Fingerprint) Hash(includeIP bool) uint64 {
+	h := fp.hashNoIP()
+	if includeIP {
+		h = fp.addIP(h)
+	}
+	return h
+}
+
+// Hashes returns Hash(false) and Hash(true) for the cost of one: the
+// IP-inclusive hash extends the other.
+func (fp *Fingerprint) Hashes() (noIP, withIP uint64) {
+	h := fp.hashNoIP()
+	return h, fp.addIP(h)
+}
+
+func (fp *Fingerprint) addIP(h uint64) uint64 {
+	return hashutil.Combine(h, hashutil.HashStrings(fp.IPCity, fp.IPRegion, fp.IPCountry))
+}
+
+func (fp *Fingerprint) hashNoIP() uint64 {
 	h := hashutil.HashStrings(
 		fp.UserAgent, fp.Accept, fp.Encoding, fp.Language,
 		strings.Join(fp.HeaderList, "\x00"),
@@ -112,18 +131,21 @@ func (fp *Fingerprint) Hash(includeIP bool) uint64 {
 	)
 	h = hashutil.Combine(h, hashutil.HashSet(fp.Plugins))
 	h = hashutil.Combine(h, hashutil.HashSet(fp.Languages))
-	h = hashutil.Combine(h, hashutil.HashSet(fp.Fonts))
-	if includeIP {
-		h = hashutil.Combine(h, hashutil.HashStrings(fp.IPCity, fp.IPRegion, fp.IPCountry))
-	}
-	return h
+	return hashutil.Combine(h, hashutil.HashSet(fp.Fonts))
 }
 
 // Equal reports whether two fingerprints have identical feature values
 // (ignoring the raw IP address but including IP city/region/country,
 // i.e. the feature set of Table 1).
 func (fp *Fingerprint) Equal(o *Fingerprint) bool {
-	return fp.Hash(true) == o.Hash(true) &&
+	return fp.EqualHashed(fp.Hash(true), o, o.Hash(true))
+}
+
+// EqualHashed is Equal for callers that already hold both sides'
+// Hash(true) — an index comparing one query against many stored
+// fingerprints hashes each once instead of once per comparison.
+func (fp *Fingerprint) EqualHashed(fpHash uint64, o *Fingerprint, oHash uint64) bool {
+	return fpHash == oHash &&
 		fp.UserAgent == o.UserAgent && // hash collision guard on the top feature
 		equalSlices(fp.Fonts, o.Fonts)
 }

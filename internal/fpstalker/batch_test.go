@@ -9,50 +9,6 @@ import (
 	"fpdyn/internal/mlearn"
 )
 
-// TestScalarBatchTopKEquivalence pins the learning linker's batch
-// scoring path (the default) against the scalar per-pair path: both
-// must return identical rankings, with and without blocking, serial
-// and parallel. The batch kernel is exact, the prefilter is shared,
-// and blocks preserve candidate order, so equality is bitwise.
-func TestScalarBatchTopKEquivalence(t *testing.T) {
-	records, instances := engineWorld(t, 400, 73)
-	forest, err := TrainPairModel(records, instances, mlearn.ForestConfig{Seed: 7, NumTrees: 8, MaxDepth: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name       string
-		noBlocking bool
-		workers    int
-	}{
-		{"blocked-serial", false, 1},
-		{"blocked-parallel", false, 4},
-		{"scan-serial", true, 1},
-		{"scan-parallel", true, 4},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			scalar := NewLearnLinker(forest)
-			scalar.ScalarScore = true
-			scalar.NoBlocking = mode.noBlocking
-			scalar.Workers = mode.workers
-			batch := NewLearnLinker(forest)
-			batch.NoBlocking = mode.noBlocking
-			batch.Workers = mode.workers
-			for i, rec := range records {
-				scalar.Add(InstanceID(instances[i]), rec)
-				batch.Add(InstanceID(instances[i]), rec)
-			}
-			for qi, q := range goldenQueries(records) {
-				want := scalar.TopK(q, 10)
-				got := batch.TopK(q, 10)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("query %d: batch ranking diverged\n scalar: %v\n batch:  %v", qi, want, got)
-				}
-			}
-		})
-	}
-}
-
 // TestNegPoolMatchesSliceWindow pins the ring buffer against a
 // reference sliding-slice implementation (the historical pool, minus
 // its pinned backing array): same pushes, same logical window, same

@@ -30,9 +30,10 @@ import (
 //
 // Storage is the interned struct-of-arrays table of store.go: rows are
 // flat pointer-free structs holding intern-pool handles, and the
-// scoring loops materialize *entry-shaped views on the fly. Buckets
-// are keyed by small integer handles (keyReg) so a bucket lookup costs
-// one map read on a uint32, not a multi-string key hash.
+// scorers take a candidate as its row index and read the row and the
+// pools in place. Buckets are keyed by small integer handles (keyReg)
+// so a bucket lookup costs one map read on a uint32, not a
+// multi-string key hash.
 
 // blockKey buckets parsed entries by the attributes the rule-based
 // linker requires to be equal: browser family, OS family and form
@@ -277,7 +278,7 @@ func removeFromBucket[K comparable](m map[K][]int, k K, i int) {
 // the verbatim user-agent string and the font multiset (via its
 // order-independent hash) must all agree. Equality by these three
 // independent 64-bit+string checks diverges from Equal only on a hash
-// collision (~2^-64 per pair) — the same substitution featureKeys
+// collision (~2^-64 per pair) — the same substitution appendFeatureKeys
 // documents for the similarity scores.
 func (g *engine) exactMatch(i int, q *entry) bool {
 	c := &g.tab.cold[i]
@@ -375,24 +376,22 @@ func putCandBuf(bp *[]Candidate) {
 	candPool.Put(bp)
 }
 
-// scoreTopK applies score to each candidate row's entry view (the
-// whole table when cs.all is set), ranks the accepted ones best-first
-// and returns the top k as a fresh slice. workers ≤ 0 sizes the pool
-// to GOMAXPROCS; workers == 1 or a small candidate set keeps it
-// serial. Parallel chunks are merged before the deterministic sort, so
-// blocked, parallel and serial runs return identical rankings. A
-// non-nil ctx is polled between cancelSlice-sized index ranges: a
-// canceled query stops scoring mid-scan and returns ctx's error
-// instead of burning CPU on an answer nobody is waiting for. Callers
-// must hold mu (read side suffices: scoring never mutates the table).
-func (g *engine) scoreTopK(ctx context.Context, cs candSet, workers, k int, score func(*entry) (float64, bool)) ([]Candidate, error) {
-	n := g.candLen(cs)
-	return g.rankChunks(ctx, n, workers, k, func(lo, hi int, out []Candidate) []Candidate {
-		var v entry // per-call view scratch: each worker chunk fills its own
+// scoreTopK applies score to each candidate row (the whole table when
+// cs.all is set), ranks the accepted ones best-first and returns the
+// top k as a fresh slice. workers ≤ 0 sizes the pool to GOMAXPROCS;
+// workers == 1 or a small candidate set keeps it serial. Parallel
+// chunks are merged before the deterministic sort, so blocked,
+// parallel and serial runs return identical rankings. A non-nil ctx is
+// polled between cancelSlice-sized index ranges: a canceled query
+// stops scoring mid-scan and returns ctx's error instead of burning
+// CPU on an answer nobody is waiting for. Callers must hold mu (read
+// side suffices: scoring never mutates the table).
+func (g *engine) scoreTopK(ctx context.Context, cs candSet, workers, k int, score func(row int) (float64, bool)) ([]Candidate, error) {
+	return g.rankChunks(ctx, g.candLen(cs), workers, k, func(lo, hi int, out []Candidate) []Candidate {
 		for j := lo; j < hi; j++ {
-			g.tab.fillView(g.candIdx(cs, j), &v)
-			if s, ok := score(&v); ok {
-				out = append(out, Candidate{ID: v.id, Score: s})
+			i := g.candIdx(cs, j)
+			if s, ok := score(i); ok {
+				out = append(out, Candidate{ID: g.tab.ids[i], Score: s})
 			}
 		}
 		return out
@@ -404,45 +403,17 @@ func (g *engine) scoreTopK(ctx context.Context, cs candSet, workers, k int, scor
 // small enough that a block of pair vectors stays cache-resident.
 const scoreBlock = 256
 
-// viewBlock is one worker's batch-scoring scratch: scoreBlock entry
-// views plus stable pointers to them in the shape the batch scorer
-// consumes. Fixed capacity, so unlike a grown slice it cannot pin a
-// worst-case query's memory when pooled.
-type viewBlock struct {
-	views [scoreBlock]entry
-	ptrs  []*entry
-}
-
-// blockPool recycles the per-block view buffers of scoreTopKBatch.
-var blockPool = sync.Pool{New: func() any {
-	b := new(viewBlock)
-	b.ptrs = make([]*entry, scoreBlock)
-	for i := range b.views {
-		b.ptrs[i] = &b.views[i]
-	}
-	return b
-}}
-
 // scoreTopKBatch is scoreTopK for scorers that evaluate candidates a
 // block at a time (the learning linker's batch forest kernel): score
-// receives up to scoreBlock entry views and appends the accepted ones
-// to out, preserving block order, so the merged ranking is identical
-// to the per-entry path. Callers must hold mu.
-func (g *engine) scoreTopKBatch(ctx context.Context, cs candSet, workers, k int, score func(es []*entry, out []Candidate) []Candidate) ([]Candidate, error) {
-	n := g.candLen(cs)
-	return g.rankChunks(ctx, n, workers, k, func(lo, hi int, out []Candidate) []Candidate {
-		b := blockPool.Get().(*viewBlock)
-		for lo < hi {
-			end := min(lo+scoreBlock, hi)
-			m := 0
-			for j := lo; j < end; j++ {
-				g.tab.fillView(g.candIdx(cs, j), &b.views[m])
-				m++
-			}
-			out = score(b.ptrs[:m], out)
-			lo = end
+// receives the candidate ordinals [lo, hi) of cs — at most scoreBlock
+// of them — and appends the accepted ones to out in ordinal order, so
+// the merged ranking is identical to a per-candidate scan. Callers
+// must hold mu.
+func (g *engine) scoreTopKBatch(ctx context.Context, cs candSet, workers, k int, score func(lo, hi int, out []Candidate) []Candidate) ([]Candidate, error) {
+	return g.rankChunks(ctx, g.candLen(cs), workers, k, func(lo, hi int, out []Candidate) []Candidate {
+		for ; lo < hi; lo += scoreBlock {
+			out = score(lo, min(lo+scoreBlock, hi), out)
 		}
-		blockPool.Put(b)
 		return out
 	})
 }

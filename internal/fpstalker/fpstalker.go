@@ -13,8 +13,10 @@ package fpstalker
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"fpdyn/internal/fingerprint"
@@ -59,36 +61,32 @@ type DynamicLinker interface {
 	IndexDigest() string
 }
 
-// entry is the scorers' working shape: the last known fingerprint of
-// one instance, reduced to the preparsed fields scoring consults on
-// every comparison — the structured UA, the canonical feature keys,
-// and the handful of scalars the rules read. Precomputing these at
-// Add time is what keeps per-candidate scoring at integer compares —
-// re-deriving them per pair (two regex parses plus ~30 Value.Key
-// builds, several of which hash whole font lists) is O(candidates)
-// redundant work per query, the dominant term of the paper's Figure 9
-// wall.
+// entry is one fingerprint reduced to what linking consults — the
+// structured UA, the canonical feature keys, the set features' sorted
+// element hashes and the handful of scalars the rules read — computed
+// once per Add or query instead of once per candidate pair. Re-deriving
+// them per pair (two regex parses plus ~30 Value.Key builds, several of
+// which hash whole font lists) is O(candidates) redundant work per
+// query, the dominant term of the paper's Figure 9 wall.
 //
-// Entries no longer retain the *fingerprint.Record. Stored instances
-// live as rows of the interned SoA table (store.go); the scoring loops
-// materialize entry views from rows via soa.fillView, whose slices and
-// UA alias the intern pools. Query-side and training-side entries are
-// built standalone by newEntry/newPairEntry. Everything a scorer ever
-// read off the record is carried here: the raw UA string, the storage
-// toggles, the timestamp (as Unix nanoseconds), and the fingerprint
-// hashes the exact-match index compares.
+// An entry is transient and pooled (getEntry). Add builds one outside
+// the engine lock and interns it into a row of the SoA table
+// (store.go); a query builds one, and the learning linker probes its
+// sets against the table's set vocabulary under the read lock
+// (soa.probe). Scorers then compare the query entry with candidate
+// rows in place. No entry outlives its call, and none retains the
+// *fingerprint.Record.
 type entry struct {
-	id    string
-	uaStr string // verbatim UserAgent (unparseable-agent rule, raw index)
-	ua    *useragent.UA
+	uaStr string        // verbatim UserAgent (unparseable-agent rule, raw index)
+	ua    *useragent.UA // &uaVal when the agent parsed, else nil
+	uaVal useragent.UA
 	keys  []uint64 // hashed non-IP feature keys, in Schema order
 
 	// hrs is the record time as fractional hours since the Unix epoch
-	// (0 when the time is the zero value): the recency nudge runs per
-	// accepted candidate, and float arithmetic there is far cheaper
-	// than time.Time comparisons. timeNS is the same instant in Unix
-	// nanoseconds — the pair model's time-gap feature and the index
-	// digest both consume it.
+	// and timeNS the same instant in Unix nanoseconds — the recency
+	// nudge reads the first, the pair model's time-gap feature and the
+	// index digest the second. Both are only meaningful when hasTime
+	// is set (see entry.fill).
 	hrs    float64
 	timeNS int64
 
@@ -100,74 +98,111 @@ type entry struct {
 	eqHash    uint64
 	fontsHash uint64
 
-	// Sorted, deduplicated element hashes of the set features the pair
-	// model computes Jaccard similarities over. Precomputing them turns
-	// the per-pair Jaccard into an allocation-free merge walk instead
-	// of building two maps per candidate.
-	fonts, plugins, langs []uint64
+	// sets holds the sorted, deduplicated element hashes of the set
+	// features the pair model takes Jaccard similarities over (empty
+	// for rule entries): what the set pool interns on Add and probes on
+	// a query.
+	sets [numSets][]uint64
 
 	ok           bool // ua parsed
 	cookie       bool // CookieEnabled (rule 4, pair storage feature)
 	localStorage bool // LocalStorage (rule 4, pair storage feature)
-	hasTime      bool // record time non-zero
+	hasTime      bool // record time non-zero and within UnixNano's range
 }
 
-func newEntry(id string, rec *fingerprint.Record) *entry {
+// The set features of an entry, indexing entry.sets and hotRow.setIDs.
+const (
+	setFonts = iota
+	setPlugins
+	setLangs
+	numSets
+)
+
+// minUnixNano and maxUnixNano bound the instants time.Time.UnixNano
+// represents, years ≈1678 to ≈2262.
+var minUnixNano, maxUnixNano = time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64)
+
+// zeroTimeNS is UnixNano of the zero time: an out-of-range constant,
+// but a deterministic one, which the digest prints for every entry
+// without a usable time.
+var zeroTimeNS = time.Time{}.UnixNano()
+
+// TimeInRange reports whether t is representable in Unix nanoseconds
+// (years ≈1678 to ≈2262). The linkers store record times that way;
+// they treat an instant outside the range like the zero time (no
+// time-gap feature, no recency nudge), and linkd rejects such records
+// at decode time.
+func TimeInRange(t time.Time) bool {
+	return !t.Before(minUnixNano) && !t.After(maxUnixNano)
+}
+
+// newPairEntry builds rec's entry with the sorted set-feature hashes
+// the pair model's Jaccard features consume.
+func newPairEntry(rec *fingerprint.Record) *entry {
+	e := new(entry)
+	e.fill(rec, true)
+	return e
+}
+
+// entryPool recycles the transient entries of Add and TopK with their
+// key and set buffers: nothing interned aliases them, and building
+// each afresh doubled the garbage of a table build.
+var entryPool = sync.Pool{New: func() any { return new(entry) }}
+
+// getEntry builds rec's entry on a pooled one; pair adds the set
+// hashes, which only the learning linker reads. putEntry returns it
+// once the caller is done.
+func getEntry(rec *fingerprint.Record, pair bool) *entry {
+	e := entryPool.Get().(*entry)
+	e.fill(rec, pair)
+	return e
+}
+
+func putEntry(e *entry) { entryPool.Put(e) }
+
+// fill sets e from rec, reusing e's buffers.
+func (e *entry) fill(rec *fingerprint.Record, pair bool) {
 	fp := rec.FP
-	e := &entry{
-		id:    id,
-		uaStr: fp.UserAgent,
-		keys:  featureKeys(fp),
-		// UnixNano of the zero time is an out-of-range constant, but a
-		// deterministic one: the digest prints it verbatim (as the
-		// record-carrying layout did) and every arithmetic use is gated
-		// on hasTime.
-		timeNS:       rec.Time.UnixNano(),
-		fpHash:       fp.Hash(false),
-		eqHash:       fp.Hash(true),
-		fontsHash:    hashutil.HashSet(fp.Fonts),
+	keys, sets := e.keys, e.sets
+	*e = entry{
+		uaStr:        fp.UserAgent,
+		keys:         appendFeatureKeys(keys[:0], fp),
+		timeNS:       zeroTimeNS,
 		cookie:       fp.CookieEnabled,
 		localStorage: fp.LocalStorage,
 	}
-	if !rec.Time.IsZero() {
+	e.fpHash, e.eqHash = fp.Hashes()
+	e.fontsHash = e.keys[keyIdxFontList] // HashSet(fp.Fonts)
+	// The zero time and instants UnixNano cannot represent both carry
+	// no usable time: UnixNano would wrap the latter silently.
+	if TimeInRange(rec.Time) {
+		e.timeNS = rec.Time.UnixNano()
 		e.hrs = float64(e.timeNS) / float64(time.Hour)
 		e.hasTime = true
 	}
 	if ua, err := useragent.CachedParse(fp.UserAgent); err == nil {
-		e.ua, e.ok = &ua, true
+		e.uaVal = ua
+		e.ua, e.ok = &e.uaVal, true
 	}
-	return e
+	for k := range sets {
+		e.sets[k] = sets[k][:0]
+	}
+	if pair {
+		e.sets[setFonts] = appendSortedHashSet(e.sets[setFonts], fp.Fonts)
+		e.sets[setPlugins] = appendSortedHashSet(e.sets[setPlugins], fp.Plugins)
+		e.sets[setLangs] = appendSortedHashSet(e.sets[setLangs], fp.Languages)
+	}
 }
 
-// newPairEntry is newEntry plus the sorted set-feature hashes the pair
-// model's Jaccard features consume. The rule-based linker never needs
-// them, so only the learning paths pay for building them.
-func newPairEntry(id string, rec *fingerprint.Record) *entry {
-	e := newEntry(id, rec)
-	e.fonts = sortedHashSet(rec.FP.Fonts)
-	e.plugins = sortedHashSet(rec.FP.Plugins)
-	e.langs = sortedHashSet(rec.FP.Languages)
-	return e
-}
-
-// sortedHashSet hashes each element and returns the sorted unique
-// hashes — the merge-friendly set representation jaccardSorted walks.
-func sortedHashSet(ss []string) []uint64 {
-	if len(ss) == 0 {
-		return nil
+// appendSortedHashSet appends the sorted unique element hashes of ss
+// to the empty dst — a set's canonical content, which the set pool
+// interns and probes.
+func appendSortedHashSet(dst []uint64, ss []string) []uint64 {
+	for _, s := range ss {
+		dst = append(dst, hashutil.Hash64(s))
 	}
-	hs := make([]uint64, len(ss))
-	for i, s := range ss {
-		hs[i] = hashutil.Hash64(s)
-	}
-	slices.Sort(hs)
-	out := hs[:1]
-	for _, h := range hs[1:] {
-		if h != out[len(out)-1] {
-			out = append(out, h)
-		}
-	}
-	return out
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }
 
 // nonIPSchema lists the non-IP feature descriptors in Schema order;
@@ -201,11 +236,13 @@ var numNonIP = len(nonIPSchema)
 // record fields: the schema's Value() canonicalization is injective
 // for each (Timezone renders as the decimal offset, the rest are the
 // verbatim strings), so key equality matches field equality up to the
-// same ~2^-64 hash-collision odds featureKeys documents.
+// same ~2^-64 hash-collision odds appendFeatureKeys documents.
 var keyIdxTimezone, keyIdxCanvas, keyIdxGPURenderer, keyIdxAudio,
-	keyIdxScreen, keyIdxGPUImage = func() (tz, cv, gr, au, sc, gi int) {
+	keyIdxScreen, keyIdxGPUImage, keyIdxFontList = func() (tz, cv, gr, au, sc, gi, fl int) {
 	for i, id := range nonIPSchema {
 		switch id {
+		case fingerprint.FeatFontList:
+			fl = i
 		case fingerprint.FeatTimezone:
 			tz = i
 		case fingerprint.FeatCanvas:
@@ -223,23 +260,23 @@ var keyIdxTimezone, keyIdxCanvas, keyIdxGPURenderer, keyIdxAudio,
 	return
 }()
 
-// featureKeys precomputes a 64-bit hash of the canonical key of every
-// non-IP schema feature, in Schema order. Fixed-width hashes make the
-// per-pair comparison ~30 integer equality checks instead of string
-// compares over font-list digests; a hash collision misreading one
-// differing feature as equal happens with probability ~2^-64 per pair,
-// far below the noise floor of the similarity scores it feeds.
-func featureKeys(fp *fingerprint.Fingerprint) []uint64 {
-	keys := make([]uint64, len(nonIPSchema))
-	for i, id := range nonIPSchema {
+// appendFeatureKeys appends a 64-bit hash of the canonical key of
+// every non-IP schema feature, in Schema order, to dst. Fixed-width
+// hashes make the per-pair comparison ~30 integer equality checks
+// instead of string compares over font-list digests; a hash collision
+// misreading one differing feature as equal happens with probability
+// ~2^-64 per pair, far below the noise floor of the similarity scores
+// it feeds.
+func appendFeatureKeys(dst []uint64, fp *fingerprint.Fingerprint) []uint64 {
+	for _, id := range nonIPSchema {
 		v := fp.Value(id)
 		if v.Kind == fingerprint.KindSet {
-			keys[i] = hashutil.HashSet(v.Set)
+			dst = append(dst, hashutil.HashSet(v.Set))
 		} else {
-			keys[i] = hashutil.Hash64(v.Str)
+			dst = append(dst, hashutil.Hash64(v.Str))
 		}
 	}
-	return keys
+	return dst
 }
 
 // countKeyDiffs counts differing non-IP features between two
@@ -280,14 +317,6 @@ func countKeyDiffsBudget(a, b []uint64, maxTotal, maxRare int) (total int, ok bo
 		}
 	}
 	return total, true
-}
-
-// countFeatureDiffs counts differing non-IP schema features between two
-// fingerprints, and separately the differing members of the
-// rarely-changing set. Hot paths precompute featureKeys and call
-// countKeyDiffs directly.
-func countFeatureDiffs(a, b *fingerprint.Fingerprint) (total, rare int) {
-	return countKeyDiffs(featureKeys(a), featureKeys(b))
 }
 
 // rankBefore is the total order of candidate rankings: score

@@ -19,9 +19,10 @@ import (
 // probability. Candidate generation prefilters on browser family (as
 // the original does) — served from the engine's blocking index — and
 // each surviving pair costs a feature-vector build plus a forest
-// evaluation, so the candidate set is scored on a worker pool. The
-// stored side of every pair vector reuses the UA parsed at Add time
-// instead of re-parsing O(N) times per query. Add/TopK are safe for
+// evaluation, so the candidate set is scored on a worker pool, one
+// forest pass per block of candidates. Pair vectors are built straight
+// off the table rows: the UA parsed at Add time, the interned keys and
+// bitset Jaccards over the interned sets. Add/TopK are safe for
 // concurrent callers; set NoBlocking and Workers=1 for the paper's
 // Figure 9 scalability-wall measurement.
 type LearnLinker struct {
@@ -33,11 +34,6 @@ type LearnLinker struct {
 	NoBlocking bool
 	// Workers caps the scoring pool: 0 means GOMAXPROCS, 1 is serial.
 	Workers int
-	// ScalarScore forces per-pair scalar forest evaluation instead of
-	// the default batch kernel, which scores whole candidate blocks one
-	// forest pass at a time (ablation / equivalence baseline; both
-	// paths return identical rankings).
-	ScalarScore bool
 
 	eng *engine
 }
@@ -52,10 +48,11 @@ func (l *LearnLinker) Len() int { return l.eng.size() }
 
 // Add implements Linker.
 func (l *LearnLinker) Add(id string, rec *fingerprint.Record) {
-	e := newPairEntry(id, rec)
+	e := getEntry(rec, true)
 	l.eng.mu.Lock()
 	l.eng.add(id, e)
 	l.eng.mu.Unlock()
+	putEntry(e)
 }
 
 // Remove implements DynamicLinker: it deletes id's entry from the
@@ -89,52 +86,44 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 	if k <= 0 {
 		return nil, nil
 	}
-	// One query-side entry per TopK: the UA parse and the feature keys
-	// are computed once here instead of once per candidate pair.
-	q := newPairEntry("", rec)
+	// One query-side entry per TopK: the UA parse, the feature keys
+	// and the set hashes are computed once here instead of once per
+	// candidate pair, and the sets are probed against the table's
+	// vocabulary once under the read lock.
+	q := getEntry(rec, true)
+	defer putEntry(q)
 	l.eng.mu.RLock()
 	defer l.eng.mu.RUnlock()
+	t := &l.eng.tab
+	qs := new(querySets)
+	t.probe(q, qs)
 	cs := l.eng.learnCandidates(q, l.NoBlocking)
-	// Prefilter: browser family must match when both parse. Kept here
-	// (not only in the blocking index) so the NoBlocking scan returns
-	// identical results.
-	reject := func(e *entry) bool {
-		return q.ok && e.ok && (q.ua.Browser != e.ua.Browser || q.ua.Mobile != e.ua.Mobile)
-	}
-	if l.ScalarScore {
-		return l.eng.scoreTopK(ctx, cs, l.Workers, k, func(e *entry) (float64, bool) {
-			if reject(e) {
-				return 0, false
-			}
-			vp := vecPool.Get().(*[]float64)
-			v := appendPairVector((*vp)[:0], e, q)
-			p, ok := l.Forest.PredictProbaAtLeast(v, l.Threshold)
-			*vp = v
-			vecPool.Put(vp)
-			return p, ok
-		})
-	}
-	// Batch path: each candidate block becomes one row-major matrix of
-	// pair vectors scored by a single forest pass (every tree walks the
-	// whole block before the next tree loads), instead of one forest
-	// walk per pair.
-	return l.eng.scoreTopKBatch(ctx, cs, l.Workers, k, func(es []*entry, out []Candidate) []Candidate {
+	// Each candidate block becomes one row-major matrix of pair vectors
+	// scored by a single forest pass (every tree walks the whole block
+	// before the next tree loads), instead of one forest walk per pair.
+	return l.eng.scoreTopKBatch(ctx, cs, l.Workers, k, func(lo, hi int, out []Candidate) []Candidate {
 		s := batchPool.Get().(*batchScratch)
 		kept, xs := s.kept[:0], s.xs[:0]
-		for _, e := range es {
-			if reject(e) {
-				continue
+		for j := lo; j < hi; j++ {
+			i := l.eng.candIdx(cs, j)
+			// Prefilter: browser family and form factor must match when
+			// both parse. Kept here (not only in the blocking index) so
+			// the NoBlocking scan returns identical results.
+			if h := &t.hot[i]; q.ok && h.flags&rowOK != 0 {
+				if ua := &t.uas.slots[h.uaID].ua; q.ua.Browser != ua.Browser || q.ua.Mobile != ua.Mobile {
+					continue
+				}
 			}
-			xs = appendPairVector(xs, e, q)
-			kept = append(kept, e)
+			xs = t.appendPair(xs, i, q, qs)
+			kept = append(kept, i)
 		}
 		if len(kept) > 0 {
 			probs := s.probs[:len(kept)]
 			oks := s.oks[:len(kept)]
 			l.Forest.PredictProbaAtLeastBatch(xs, l.Threshold, probs, oks)
-			for i, e := range kept {
-				if oks[i] {
-					out = append(out, Candidate{ID: e.id, Score: probs[i]})
+			for j, i := range kept {
+				if oks[j] {
+					out = append(out, Candidate{ID: t.ids[i], Score: probs[j]})
 				}
 			}
 		}
@@ -144,19 +133,12 @@ func (l *LearnLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k in
 	})
 }
 
-// vecPool recycles pair-vector scratch buffers across queries and
-// scoring workers.
-var vecPool = sync.Pool{New: func() any {
-	b := make([]float64, 0, NumPairFeatures)
-	return &b
-}}
-
 // batchScratch holds one scoring worker's per-block buffers: the
-// row-major pair-vector matrix, the surviving entries, and the batch
+// row-major pair-vector matrix, the surviving rows, and the batch
 // kernel's outputs. Sized to scoreBlock so a block never reallocates.
 type batchScratch struct {
 	xs    []float64
-	kept  []*entry
+	kept  []int
 	probs []float64
 	oks   []bool
 }
@@ -164,7 +146,7 @@ type batchScratch struct {
 var batchPool = sync.Pool{New: func() any {
 	return &batchScratch{
 		xs:    make([]float64, 0, scoreBlock*NumPairFeatures),
-		kept:  make([]*entry, 0, scoreBlock),
+		kept:  make([]int, 0, scoreBlock),
 		probs: make([]float64, scoreBlock),
 		oks:   make([]bool, scoreBlock),
 	}
@@ -197,35 +179,52 @@ var PairFeatureNames = [NumPairFeatures]string{
 // PairVector builds the similarity feature vector for a (known, query)
 // fingerprint pair — per-feature equality indicators, Jaccard
 // similarities for set features, version movement, and the time gap —
-// the same flavour of features the original FP-Stalker model uses.
-// User agents are parsed through the memoizing CachedParse; callers
-// that already hold parsed UAs and precomputed feature keys (the
-// linker's entries) use pairVectorEntries directly.
+// the same flavour of features the original FP-Stalker model uses. It
+// interns known into a throwaway one-row table and runs the linker's
+// own pair-feature function (soa.appendPair), so it returns exactly
+// the vector TopK scores for the pair.
 func PairVector(known, query *fingerprint.Record) []float64 {
-	return pairVectorEntries(newPairEntry("", known), newPairEntry("", query))
+	var t soa
+	t.init()
+	i := t.appendRow("", newPairEntry(known))
+	q := newPairEntry(query)
+	var qs querySets
+	t.probe(q, &qs)
+	return t.appendPair(make([]float64, 0, NumPairFeatures), i, q, &qs)
 }
 
-// pairVectorEntries is PairVector with both sides already preprocessed
-// — the cached path the matching engine threads its per-entry UAs and
-// feature keys through, so scoring N candidates costs zero re-parses
-// and zero key rebuilds.
-func pairVectorEntries(known, query *entry) []float64 {
-	return appendPairVector(make([]float64, 0, NumPairFeatures), known, query)
+// querySets is a query entry's sets rendered against a table's set
+// vocabulary, the form appendPair reads.
+type querySets [numSets]querySet
+
+// probe renders q's sets into qs. Callers must hold the engine's lock
+// (read side suffices).
+func (t *soa) probe(q *entry, qs *querySets) {
+	for k, hs := range q.sets {
+		t.sets.probe(hs, &qs[k])
+	}
 }
 
-// appendPairVector builds the pair feature vector into dst, which the
-// scoring hot path recycles through a pool so a query over an
-// N-candidate bucket performs no per-pair allocation.
-func appendPairVector(dst []float64, known, query *entry) []float64 {
+// appendPair appends the pair feature vector of (table row i, query
+// entry q with its sets probed into qs) to dst: the one pair-feature
+// function behind TopK
+// scoring, the training set and PairVector. Every input is read in
+// place — the hot row, the row's UA slot, its interned keys and set
+// bitsets — so a scan over N candidates performs no per-pair
+// allocation or copy. Vectors are bit-identical to the per-entry
+// oracle in oracle_test.go: each feature is the same float64
+// arithmetic over the same integers.
+func (t *soa) appendPair(dst []float64, i int, q *entry, qs *querySets) []float64 {
 	eq := func(cond bool) float64 {
 		if cond {
 			return 1
 		}
 		return 0
 	}
+	h := &t.hot[i]
 	var verAdvance, osAdvance, sameFamily float64
-	if known.ok && query.ok {
-		kUA, qUA := known.ua, query.ua
+	if h.flags&rowOK != 0 && q.ok {
+		kUA, qUA := &t.uas.slots[h.uaID].ua, q.ua
 		sameFamily = eq(kUA.Browser == qUA.Browser)
 		switch qUA.BrowserVersion.Compare(kUA.BrowserVersion) {
 		case 0:
@@ -245,25 +244,23 @@ func appendPairVector(dst []float64, known, query *entry) []float64 {
 		}
 	}
 	gapDays := 0.0
-	if known.hasTime && query.hasTime {
-		// Identical to Time.Sub(...).Hours() for any in-range instant;
-		// out-of-range timestamps (the zero time) are gated by hasTime.
-		gapDays = math.Abs(time.Duration(query.timeNS-known.timeNS).Hours()) / 24
+	if h.flags&rowHasTime != 0 && q.hasTime {
+		gapDays = math.Abs(subNS(q.timeNS, h.timeNS).Hours()) / 24
 	}
-	total, rare := countKeyDiffs(known.keys, query.keys)
-	ak, bk := known.keys, query.keys
+	ak, bk := t.keys.row(h.keysID), q.keys
+	total, rare := countKeyDiffs(ak, bk)
 	return append(dst,
 		sameFamily,
 		verAdvance,
 		osAdvance,
 		eq(ak[keyIdxCanvas] == bk[keyIdxCanvas]),
 		eq(ak[keyIdxGPUImage] == bk[keyIdxGPUImage]),
-		jaccardSorted(known.fonts, query.fonts),
-		jaccardSorted(known.plugins, query.plugins),
-		jaccardSorted(known.langs, query.langs),
+		t.sets.jaccard(h.setIDs[setFonts], &qs[setFonts]),
+		t.sets.jaccard(h.setIDs[setPlugins], &qs[setPlugins]),
+		t.sets.jaccard(h.setIDs[setLangs], &qs[setLangs]),
 		eq(ak[keyIdxScreen] == bk[keyIdxScreen]),
 		eq(ak[keyIdxTimezone] == bk[keyIdxTimezone]),
-		eq(known.cookie == query.cookie && known.localStorage == query.localStorage),
+		eq((h.flags&rowCookie != 0) == q.cookie && (h.flags&rowLocalStorage != 0) == q.localStorage),
 		eq(ak[keyIdxGPURenderer] == bk[keyIdxGPURenderer]),
 		eq(ak[keyIdxAudio] == bk[keyIdxAudio]),
 		float64(total)/float64(fingerprint.NumFeatures),
@@ -272,58 +269,17 @@ func appendPairVector(dst []float64, known, query *entry) []float64 {
 	)
 }
 
-// jaccardSorted is the Jaccard similarity of two sorted unique hash
-// sets (see sortedHashSet): a single merge walk, no allocation. It
-// agrees with jaccard over the original string lists up to 64-bit
-// element-hash collisions.
-func jaccardSorted(a, b []uint64) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
+// subNS is a−b for two Unix-nanosecond instants, saturating like
+// time.Time.Sub when the instants lie more than ~292 years apart.
+func subNS(a, b int64) time.Duration {
+	d := a - b
+	if (d < a) != (b > 0) { // the subtraction overflowed
+		if b > 0 {
+			return math.MinInt64
 		}
+		return math.MaxInt64
 	}
-	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// jaccard is the set Jaccard similarity of two string lists. Both
-// sides are deduplicated, so the result is a true Jaccard in [0, 1]
-// regardless of upstream hygiene — duplicated entries in either list
-// neither inflate the intersection nor the union.
-func jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	setA := make(map[string]bool, len(a))
-	for _, s := range a {
-		setA[s] = true
-	}
-	setB := make(map[string]bool, len(b))
-	inter := 0
-	for _, s := range b {
-		if setB[s] {
-			continue
-		}
-		setB[s] = true
-		if setA[s] {
-			inter++
-		}
-	}
-	union := len(setA) + len(setB) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	return time.Duration(d)
 }
 
 // trainPair is one labelled training example with its provenance kept
@@ -419,35 +375,86 @@ func samplePairSpecs(instances []int, rng *rand.Rand) []pairSpec {
 }
 
 // pairTrainingSet builds the labelled pair set TrainPairModel fits, in
-// two phases: a sequential sampling pass (samplePairSpecs — cheap, RNG
-// order preserved) followed by a parallel construction pass that
-// preprocesses each referenced record once (UA parse, feature keys,
-// sorted set hashes) and builds the pair vectors on the worker pool.
-// The PairVector builds dominate TrainPairModel preprocessing; both
-// the output pairs and their order are identical for every worker
-// count, and to the historical fully-serial builder.
+// three passes: a sequential sampling pass (samplePairSpecs — cheap,
+// RNG order preserved); a pass that preprocesses each referenced
+// record once (UA parse, feature keys, sorted set hashes — in
+// parallel) and interns it into a throwaway table; and a parallel pass
+// building the pair vectors between table rows with the linker's own
+// appendPair. The output pairs and their order are identical for every
+// worker count, and to the historical fully-serial builder.
 func pairTrainingSet(records []*fingerprint.Record, instances []int, rng *rand.Rand, workers int) []trainPair {
 	specs := samplePairSpecs(instances, rng)
 	used := make([]bool, len(records))
+	nUsed := 0
 	for _, s := range specs {
-		used[s.known] = true
-		used[s.query] = true
-	}
-	entries := make([]*entry, len(records))
-	parallel.ForEach(workers, len(records), func(i int) {
-		if used[i] {
-			entries[i] = newPairEntry("", records[i])
+		for _, r := range [2]int32{s.known, s.query} {
+			if !used[r] {
+				used[r] = true
+				nUsed++
+			}
 		}
-	})
+	}
+	// The throwaway table: every used record interned as one row. A
+	// pair is then (row of the known record, row of the query record
+	// read back as a query) — the shape TopK scores. Entries are built
+	// in parallel a chunk at a time into reused buffers, so only one
+	// chunk of them is ever alive next to the table.
+	var t soa
+	t.init()
+	t.reserve(nUsed)
+	rows := make([]int32, len(records))
+	chunk := make([]entry, min(len(records), 256))
+	for lo := 0; lo < len(records); lo += len(chunk) {
+		n := min(len(chunk), len(records)-lo)
+		parallel.ForEach(workers, n, func(j int) {
+			if used[lo+j] {
+				chunk[j].fill(records[lo+j], true)
+			}
+		})
+		for j := range n {
+			if used[lo+j] {
+				rows[lo+j] = int32(t.appendRow("", &chunk[j]))
+			}
+		}
+	}
 	return parallel.Map(workers, len(specs), func(i int) trainPair {
 		s := specs[i]
+		var q entry
+		var qs querySets
+		t.rowQuery(int(rows[s.query]), &q, &qs)
 		return trainPair{
-			x:         appendPairVector(make([]float64, 0, NumPairFeatures), entries[s.known], entries[s.query]),
+			x:         t.appendPair(make([]float64, 0, NumPairFeatures), int(rows[s.known]), &q, &qs),
 			label:     int(s.label),
 			knownInst: instances[s.known],
 			queryInst: instances[s.query],
 		}
 	})
+}
+
+// rowQuery reads row i back as a query entry q with its sets in qs,
+// aliasing the table: appendPair needs no set hashes, and a row's
+// interned sets are already in the vocabulary's representation.
+// Callers must hold the engine's lock (read side suffices).
+func (t *soa) rowQuery(i int, q *entry, qs *querySets) {
+	h := &t.hot[i]
+	slot := t.uas.slots[h.uaID]
+	*q = entry{
+		uaStr:        slot.str,
+		keys:         t.keys.row(h.keysID),
+		hrs:          h.hrs,
+		timeNS:       h.timeNS,
+		ok:           h.flags&rowOK != 0,
+		cookie:       h.flags&rowCookie != 0,
+		localStorage: h.flags&rowLocalStorage != 0,
+		hasTime:      h.flags&rowHasTime != 0,
+	}
+	if q.ok {
+		q.ua = &slot.ua
+	}
+	for k, id := range h.setIDs {
+		s := &t.sets.sets[id]
+		qs[k] = querySet{bits: t.sets.bits[id], n: int(s.n), over: s.over}
+	}
 }
 
 // PairTrainingSet builds the labelled pair-vector training set that

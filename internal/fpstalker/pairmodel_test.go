@@ -3,6 +3,7 @@ package fpstalker
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -123,5 +124,57 @@ func TestNegativeSamplingYieldsTwoPerPositive(t *testing.T) {
 	}
 	if neg != 2*pos {
 		t.Fatalf("got %d negatives for %d positives, want exactly 2 per positive", neg, pos)
+	}
+}
+
+// TestOutOfRangeTimeIsNoTime: an instant UnixNano cannot represent is
+// treated like the zero time. Before, a query dated 2602 against a 2018
+// entry wrapped to a two-day gap (time-gap feature 0.0167); now it
+// carries no time: the same pair vector, and the same rule score, as a
+// zero-time query.
+func TestOutOfRangeTimeIsNoTime(t *testing.T) {
+	known := chromeRecord(useragent.V(63), time.Date(2018, 3, 1, 0, 0, 0, 0, time.UTC))
+	far := chromeRecord(useragent.V(63), time.Date(2602, 9, 21, 0, 0, 0, 0, time.UTC))
+	far.FP.CanvasHash = "c2" // not an exact match, so the rule score path runs
+	zero := chromeRecord(useragent.V(63), time.Time{})
+	zero.FP.CanvasHash = "c2"
+	if TimeInRange(far.Time) || TimeInRange(time.Time{}) || !TimeInRange(known.Time) {
+		t.Fatal("TimeInRange misclassifies")
+	}
+	got, want := PairVector(known, far), PairVector(known, zero)
+	if !sameBits(got, want) {
+		t.Fatalf("2602 query: pair vector %v, zero-time query %v", got, want)
+	}
+	if got[15] != 0 {
+		t.Fatalf("time-gap feature = %v, want 0 (no usable time)", got[15])
+	}
+
+	rule := NewRuleLinker()
+	rule.Add("k", known)
+	gotRule, wantRule := rule.TopK(far, 1), rule.TopK(zero, 1)
+	if len(gotRule) != 1 || !reflect.DeepEqual(gotRule, wantRule) {
+		t.Fatalf("rule ranking for the 2602 query %v, zero-time query %v", gotRule, wantRule)
+	}
+}
+
+// TestTimeGapSaturates: two in-range instants more than ~292 years
+// apart overflow an int64 nanosecond difference; the gap saturates like
+// time.Time.Sub instead of wrapping, so the feature reads 1.
+func TestTimeGapSaturates(t *testing.T) {
+	a := chromeRecord(useragent.V(63), time.Date(1700, 1, 1, 0, 0, 0, 0, time.UTC))
+	b := chromeRecord(useragent.V(63), time.Date(2200, 1, 1, 0, 0, 0, 0, time.UTC))
+	for _, v := range [][]float64{PairVector(a, b), PairVector(b, a)} {
+		if v[15] != 1 {
+			t.Fatalf("time-gap feature = %v, want 1", v[15])
+		}
+	}
+	if d := subNS(math.MaxInt64, -1); d != math.MaxInt64 {
+		t.Fatalf("subNS(max, -1) = %v", d)
+	}
+	if d := subNS(math.MinInt64, 1); d != math.MinInt64 {
+		t.Fatalf("subNS(min, 1) = %v", d)
+	}
+	if d := subNS(5, 7); d != -2 {
+		t.Fatalf("subNS(5, 7) = %v", d)
 	}
 }

@@ -64,7 +64,8 @@ func (l *RuleLinker) Len() int { return l.eng.size() }
 
 // Add implements Linker: rec becomes the last known fingerprint of id.
 func (l *RuleLinker) Add(id string, rec *fingerprint.Record) {
-	e := newEntry(id, rec)
+	e := getEntry(rec, false)
+	defer putEntry(e)
 	l.eng.mu.Lock()
 	defer l.eng.mu.Unlock()
 	i, oldHash, replaced := l.eng.add(id, e)
@@ -132,7 +133,8 @@ func (l *RuleLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k int
 	// One query-side entry per TopK: the UA parse, the ~30 feature keys
 	// and the fingerprint hashes are computed once here instead of once
 	// per candidate.
-	q := newEntry("", rec)
+	q := getEntry(rec, false)
+	defer putEntry(q)
 	l.eng.mu.RLock()
 	defer l.eng.mu.RUnlock()
 	// Rule 1: exact match via the index (hash bucket, then the
@@ -152,65 +154,72 @@ func (l *RuleLinker) TopKCtx(ctx context.Context, rec *fingerprint.Record, k int
 	}
 
 	cs := l.eng.ruleCandidates(q, l.NoBlocking)
-	score := func(e *entry) (float64, bool) { return l.score(q, e) }
+	score := func(i int) (float64, bool) { return l.score(q, i) }
 	if !cs.all && q.ok {
-		// Every entry in the query's bucket shares its browser family,
+		// Every row in the query's bucket shares its browser family,
 		// OS family, form factor and storage toggles by construction —
 		// rules 2 and 4 are already satisfied, so the blocked path only
 		// evaluates the remaining filters. score would accept exactly
 		// the same set.
-		score = func(e *entry) (float64, bool) { return l.scoreBlocked(q, e) }
+		score = func(i int) (float64, bool) { return l.scoreBlocked(q, i) }
 	}
 	return l.eng.scoreTopK(ctx, cs, l.Workers, k, score)
 }
 
-// score applies rules 2–5 and returns the similarity score. It is the
-// complete filter: blocking only skips entries score would reject, so
-// blocked and full scans rank identically.
-func (l *RuleLinker) score(q, e *entry) (float64, bool) {
+// score applies rules 2–5 to table row i and returns the similarity
+// score. It is the complete filter: blocking only skips rows score
+// would reject, so blocked and full scans rank identically.
+func (l *RuleLinker) score(q *entry, i int) (float64, bool) {
+	t := &l.eng.tab
+	h := &t.hot[i]
+	slot := t.uas.slots[h.uaID]
 	// Rule 2: same browser family / OS family / platform.
-	if q.ok && e.ok {
-		if q.ua.Browser != e.ua.Browser || q.ua.OS != e.ua.OS || q.ua.Mobile != e.ua.Mobile {
+	if q.ok && h.flags&rowOK != 0 {
+		e := &slot.ua
+		if q.ua.Browser != e.Browser || q.ua.OS != e.OS || q.ua.Mobile != e.Mobile {
 			return 0, false
 		}
 		// Rule 3: version must not decrease.
-		if q.ua.BrowserVersion.Compare(e.ua.BrowserVersion) < 0 {
+		if q.ua.BrowserVersion.Compare(e.BrowserVersion) < 0 {
 			return 0, false
 		}
-		if q.ua.OSVersion.Compare(e.ua.OSVersion) < 0 {
+		if q.ua.OSVersion.Compare(e.OSVersion) < 0 {
 			return 0, false
 		}
-	} else if q.uaStr != e.uaStr {
+	} else if q.uaStr != slot.str {
 		// Unparseable agents must match verbatim.
 		return 0, false
 	}
 
 	// Rule 4: user-controlled storage toggles must be equal.
-	if q.cookie != e.cookie || q.localStorage != e.localStorage {
+	if q.cookie != (h.flags&rowCookie != 0) || q.localStorage != (h.flags&rowLocalStorage != 0) {
 		return 0, false
 	}
 
-	return l.scoreTail(q, e)
+	return l.scoreTail(q, h)
 }
 
-// scoreBlocked is score for candidates served from the query's
-// blocking bucket: rules 2 and 4 are the bucket key, so only the
-// version ordering (rule 3) and the difference budgets (rule 5) remain
-// to check.
-func (l *RuleLinker) scoreBlocked(q, e *entry) (float64, bool) {
-	if q.ua.BrowserVersion.Compare(e.ua.BrowserVersion) < 0 {
+// scoreBlocked is score for rows served from the query's blocking
+// bucket: rules 2 and 4 are the bucket key, so only the version
+// ordering (rule 3) and the difference budgets (rule 5) remain to
+// check.
+func (l *RuleLinker) scoreBlocked(q *entry, i int) (float64, bool) {
+	t := &l.eng.tab
+	h := &t.hot[i]
+	e := &t.uas.slots[h.uaID].ua
+	if q.ua.BrowserVersion.Compare(e.BrowserVersion) < 0 {
 		return 0, false
 	}
-	if q.ua.OSVersion.Compare(e.ua.OSVersion) < 0 {
+	if q.ua.OSVersion.Compare(e.OSVersion) < 0 {
 		return 0, false
 	}
-	return l.scoreTail(q, e)
+	return l.scoreTail(q, h)
 }
 
-// scoreTail applies rule 5 and ranks the surviving candidate.
-func (l *RuleLinker) scoreTail(q, e *entry) (float64, bool) {
-	// Rule 5: difference budgets, over the precomputed keys.
-	total, ok := countKeyDiffsBudget(q.keys, e.keys, l.MaxDiffs, 2)
+// scoreTail applies rule 5 to row h and ranks the surviving candidate.
+func (l *RuleLinker) scoreTail(q *entry, h *hotRow) (float64, bool) {
+	// Rule 5: difference budgets, over the interned keys.
+	total, ok := countKeyDiffsBudget(q.keys, l.eng.tab.keys.row(h.keysID), l.MaxDiffs, 2)
 	if !ok {
 		return 0, false
 	}
@@ -218,8 +227,8 @@ func (l *RuleLinker) scoreTail(q, e *entry) (float64, bool) {
 	// Rank by number of identical features; nudge with recency so ties
 	// break toward fresher entries.
 	score := float64(numNonIP - total)
-	if q.hasTime && e.hasTime && q.hrs > e.hrs {
-		age := q.hrs - e.hrs
+	if q.hasTime && h.flags&rowHasTime != 0 && q.hrs > h.hrs {
+		age := q.hrs - h.hrs
 		score += 1.0 / (1.0 + age/24.0) // ≤ 1 point for recency
 	}
 	return score, true

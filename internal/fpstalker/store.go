@@ -1,5 +1,7 @@
 package fpstalker
 
+import "slices"
+
 // The struct-of-arrays entry table. The historical layout kept one
 // heap-allocated *entry per instance, each dragging a full
 // *fingerprint.Record (a ~30-field struct plus its slices) — ~1.5 KB
@@ -15,12 +17,14 @@ package fpstalker
 //   - ids:  the instance IDs (the table's only GC-visible pointers
 //     besides the intern pools).
 //
-// Heavy payloads (UA string + parse, feature-key vectors, sorted set
-// hashes) live once in the refcounted intern pools (intern.go) and
-// rows hold uint32 handles. Scorers never see any of this: fillView
-// materializes the historical *entry shape on demand, so the rule and
-// learning scorers — and therefore rankings and digests — are
-// byte-identical to the pointer-per-entry layout.
+// Heavy payloads (UA string + parse, feature-key vectors, font/plugin/
+// language sets) live once in the refcounted intern pools (intern.go)
+// and rows hold uint32 handles. The rule and learning scorers read a
+// candidate straight off its row index: flags and times from the hot
+// row, the parsed UA from its pool slot, the keys from the key arena
+// and set Jaccards from the set pool's bitsets — no per-candidate copy
+// of any of it. Rankings and digests stay byte-identical to the
+// pointer-per-entry layout (store_test.go pins them).
 
 // Row flag bits (hotRow.flags).
 const (
@@ -32,14 +36,12 @@ const (
 
 // hotRow holds the per-entry scalars the candidate scans read.
 type hotRow struct {
-	hrs     float64 // record time in fractional hours (recency nudge)
-	timeNS  int64   // record time in Unix nanoseconds (pair time gap, digest)
-	uaID    uint32  // uaPool handle
-	keysID  uint32  // vecIntern handle: non-IP feature keys
-	fontsID uint32  // vecIntern handles: sorted set hashes (0 for rule entries)
-	plugsID uint32
-	langsID uint32
-	flags   byte
+	hrs    float64         // record time in fractional hours (recency nudge)
+	timeNS int64           // record time in Unix nanoseconds (pair time gap, digest)
+	uaID   uint32          // uaPool handle
+	keysID uint32          // keyPool handle: non-IP feature keys
+	setIDs [numSets]uint32 // setPool handles (0, the empty set, for rule entries)
+	flags  byte
 }
 
 // coldRow holds the per-entry fields only mutation, digesting and the
@@ -57,12 +59,14 @@ type soa struct {
 	hot  []hotRow
 	cold []coldRow
 	uas  uaPool
-	vecs vecIntern
+	keys keyPool
+	sets setPool
 }
 
 func (t *soa) init() {
 	t.uas.init()
-	t.vecs.init()
+	t.keys.init()
+	t.sets.init()
 }
 
 func (t *soa) len() int { return len(t.ids) }
@@ -75,6 +79,16 @@ func (t *soa) appendRow(id string, e *entry) int {
 	i := len(t.ids) - 1
 	t.setRow(i, id, e)
 	return i
+}
+
+// reserve makes room for n more rows, and for their key vectors should
+// none of them share one, so that a table built to a known size grows
+// no slice step by step.
+func (t *soa) reserve(n int) {
+	t.ids = slices.Grow(t.ids, n)
+	t.hot = slices.Grow(t.hot, n)
+	t.cold = slices.Grow(t.cold, n)
+	t.keys.arena = slices.Grow(t.keys.arena, n*numNonIP)
 }
 
 // setRow writes e into row i, interning its payloads (one reference
@@ -94,15 +108,16 @@ func (t *soa) setRow(i int, id string, e *entry) {
 		flags |= rowLocalStorage
 	}
 	t.ids[i] = id
-	t.hot[i] = hotRow{
-		hrs:     e.hrs,
-		timeNS:  e.timeNS,
-		uaID:    t.uas.intern(e.uaStr),
-		keysID:  t.vecs.intern(e.keys),
-		fontsID: t.vecs.intern(e.fonts),
-		plugsID: t.vecs.intern(e.plugins),
-		langsID: t.vecs.intern(e.langs),
-		flags:   flags,
+	h := &t.hot[i]
+	*h = hotRow{
+		hrs:    e.hrs,
+		timeNS: e.timeNS,
+		uaID:   t.uas.intern(e.uaStr),
+		keysID: t.keys.intern(e.keys),
+		flags:  flags,
+	}
+	for k, hs := range e.sets {
+		h.setIDs[k] = t.sets.intern(hs)
 	}
 	t.cold[i] = coldRow{fpHash: e.fpHash, eqHash: e.eqHash, fontsHash: e.fontsHash}
 }
@@ -114,10 +129,10 @@ func (t *soa) setRow(i int, id string, e *entry) {
 func (t *soa) releaseRow(i int) {
 	h := &t.hot[i]
 	t.uas.release(h.uaID)
-	t.vecs.release(h.keysID)
-	t.vecs.release(h.fontsID)
-	t.vecs.release(h.plugsID)
-	t.vecs.release(h.langsID)
+	t.keys.release(h.keysID)
+	for _, id := range h.setIDs {
+		t.sets.release(id)
+	}
 }
 
 // moveRow copies row from onto row to (the swap-delete fill). No
@@ -139,31 +154,6 @@ func (t *soa) truncate() {
 	t.cold = t.cold[:n]
 }
 
-// fillView materializes row i as the historical *entry shape the
-// scorers consume. Only the scoring fields are filled — the cold
-// hashes stay zero — and the slices and parsed UA alias the intern
-// pools, valid for as long as the caller holds the engine's lock.
-func (t *soa) fillView(i int, v *entry) {
-	h := &t.hot[i]
-	slot := t.uas.slots[h.uaID]
-	v.id = t.ids[i]
-	v.uaStr = slot.str
-	if h.flags&rowOK != 0 {
-		v.ok, v.ua = true, &slot.ua
-	} else {
-		v.ok, v.ua = false, nil
-	}
-	v.cookie = h.flags&rowCookie != 0
-	v.localStorage = h.flags&rowLocalStorage != 0
-	v.hasTime = h.flags&rowHasTime != 0
-	v.hrs = h.hrs
-	v.timeNS = h.timeNS
-	v.keys = t.vecs.data(h.keysID)
-	v.fonts = t.vecs.data(h.fontsID)
-	v.plugins = t.vecs.data(h.plugsID)
-	v.langs = t.vecs.data(h.langsID)
-}
-
 // StoreStats describes the interned store's occupancy — the
 // observability hook the bench harness and the refcount property test
 // read.
@@ -171,13 +161,17 @@ type StoreStats struct {
 	// Entries is the number of rows in the table.
 	Entries int
 	// UAStrings and Vectors count the distinct interned payloads
-	// currently alive (each shared by every entry referencing it).
+	// currently alive (each shared by every entry referencing it):
+	// Vectors counts feature-key vectors plus non-empty sets.
 	UAStrings int
 	Vectors   int
-	// VectorBytes is the payload bytes held by the vector pool.
+	// VectorBytes is the payload held by the key and set pools: the
+	// live key-arena slots, one bitset per live set and the sets'
+	// overflow lists.
 	VectorBytes int64
 	// InternHits/InternMisses count intern() calls that found a shared
-	// payload vs allocated a new slot, across both pools. The hit rate
+	// payload vs allocated a new slot, across all three pools (an empty
+	// set interns as handle 0 and counts as neither). The hit rate
 	// is the sharing factor the memory savings come from.
 	InternHits   uint64
 	InternMisses uint64
@@ -189,10 +183,10 @@ func (g *engine) storeStats() StoreStats {
 	return StoreStats{
 		Entries:      g.tab.len(),
 		UAStrings:    g.tab.uas.live(),
-		Vectors:      g.tab.vecs.live(),
-		VectorBytes:  g.tab.vecs.bytes,
-		InternHits:   g.tab.uas.hits + g.tab.vecs.hits,
-		InternMisses: g.tab.uas.misses + g.tab.vecs.misses,
+		Vectors:      g.tab.keys.idx.live() + g.tab.sets.idx.live(),
+		VectorBytes:  g.tab.keys.bytes() + g.tab.sets.bytes(),
+		InternHits:   g.tab.uas.hits + g.tab.keys.idx.hits + g.tab.sets.idx.hits,
+		InternMisses: g.tab.uas.misses + g.tab.keys.idx.misses + g.tab.sets.idx.misses,
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
+
+	"fpdyn/internal/fpstalker"
 )
 
 // FuzzDecodeRequest: every frame off the wire funnels through
@@ -37,6 +40,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[1,2,3]`))
+	far := testRecord(1, time.Date(2602, 9, 21, 0, 0, 0, 0, time.UTC))
+	seed(&Request{Type: TypeAdd, ID: "i2", Record: far})
+	seed(&Request{Type: TypeQuery, Record: far})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data) // must not panic
@@ -58,9 +64,15 @@ func FuzzDecodeRequest(f *testing.F) {
 			if req.ID == "" || req.Record == nil || req.Record.FP == nil {
 				t.Fatalf("underspecified add passed validation: %+v", req)
 			}
+			if tm := req.Record.Time; !tm.IsZero() && !fpstalker.TimeInRange(tm) {
+				t.Fatalf("add with out-of-range time %v passed validation", tm)
+			}
 		case TypeQuery:
 			if req.Record == nil || req.Record.FP == nil {
 				t.Fatalf("query without record passed validation: %+v", req)
+			}
+			if tm := req.Record.Time; !tm.IsZero() && !fpstalker.TimeInRange(tm) {
+				t.Fatalf("query with out-of-range time %v passed validation", tm)
 			}
 			if req.K < 1 || req.K > MaxK {
 				t.Fatalf("query k %d outside [1, %d]", req.K, MaxK)
@@ -72,4 +84,39 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("unknown type %q passed validation", req.Type)
 		}
 	})
+}
+
+// TestDecodeRequestRejectsOutOfRangeTime: an add or query whose record
+// time is set but outside Unix-nanosecond range is a bad request — the
+// linkers would otherwise see it as no time at all. The zero time and
+// the range's edges stay valid.
+func TestDecodeRequestRejectsOutOfRangeTime(t *testing.T) {
+	for _, tc := range []struct {
+		at   time.Time
+		okay bool
+	}{
+		{time.Date(2602, 9, 21, 0, 0, 0, 0, time.UTC), false},
+		{time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC), false},
+		{time.Unix(0, 1<<63-1), true},
+		{time.Unix(0, -1<<63), true},
+		{tBase, true},
+		{time.Time{}, true},
+	} {
+		for _, req := range []*Request{
+			{Type: TypeAdd, ID: "i1", Record: testRecord(1, tc.at)},
+			{Type: TypeQuery, Record: testRecord(1, tc.at)},
+		} {
+			payload, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DecodeRequest(payload)
+			if tc.okay && err != nil {
+				t.Errorf("%s at %v rejected: %v", req.Type, tc.at, err)
+			}
+			if !tc.okay && (got != nil || !errors.Is(err, ErrBadRequest)) {
+				t.Errorf("%s at %v: got (%v, %v), want ErrBadRequest", req.Type, tc.at, got, err)
+			}
+		}
+	}
 }

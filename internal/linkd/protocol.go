@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/fpstalker"
@@ -99,7 +100,8 @@ var ErrBadRequest = errors.New("linkd: bad request")
 // DecodeRequest parses and validates one request payload. Every frame
 // off the wire funnels through here, so the fuzz target for the
 // decoder covers the full parse-then-validate surface: malformed JSON,
-// unknown types, missing records, oversized k, absurd deadlines.
+// unknown types, missing records, record times the linkers cannot
+// represent, oversized k, absurd deadlines.
 func DecodeRequest(payload []byte) (*Request, error) {
 	var req Request
 	if err := json.Unmarshal(payload, &req); err != nil {
@@ -115,10 +117,16 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		if req.Record == nil || req.Record.FP == nil {
 			return nil, fmt.Errorf("%w: add without record", ErrBadRequest)
 		}
+		if err := checkRecordTime(req.Record); err != nil {
+			return nil, err
+		}
 		return &req, nil
 	case TypeQuery:
 		if req.Record == nil || req.Record.FP == nil {
 			return nil, fmt.Errorf("%w: query without record", ErrBadRequest)
+		}
+		if err := checkRecordTime(req.Record); err != nil {
+			return nil, err
 		}
 		if req.K < 0 || req.K > MaxK {
 			return nil, fmt.Errorf("%w: k %d outside [0, %d]", ErrBadRequest, req.K, MaxK)
@@ -135,4 +143,14 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	default:
 		return nil, fmt.Errorf("%w: unknown type %q", ErrBadRequest, req.Type)
 	}
+}
+
+// checkRecordTime rejects a record whose time is set but outside the
+// range the linkers store (Unix nanoseconds, years ≈1678–2262): such a
+// time would otherwise reach the scorers as no time at all.
+func checkRecordTime(rec *fingerprint.Record) error {
+	if !rec.Time.IsZero() && !fpstalker.TimeInRange(rec.Time) {
+		return fmt.Errorf("%w: record time %s outside the representable range", ErrBadRequest, rec.Time.Format(time.RFC3339))
+	}
+	return nil
 }

@@ -20,7 +20,9 @@
 package linker
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"fpdyn/internal/fingerprint"
 	"fpdyn/internal/fpstalker"
@@ -60,6 +62,8 @@ type Hybrid struct {
 type entry struct {
 	id     string
 	rec    *fingerprint.Record
+	fpHash uint64 // rec.FP.Hash(false): the byExact key
+	eqHash uint64 // rec.FP.Hash(true): the exact-match check
 	ua     useragent.UA
 	uaOK   bool
 	stable uint64
@@ -117,12 +121,12 @@ func classKey(rec *fingerprint.Record, ua useragent.UA, uaOK bool) uint64 {
 
 // stableKey is the narrow bucket: class plus the device model, which
 // never changes within an instance.
-func stableKey(rec *fingerprint.Record, ua useragent.UA, uaOK bool) uint64 {
+func stableKey(class uint64, ua useragent.UA, uaOK bool) uint64 {
 	device := ""
 	if uaOK {
 		device = ua.Device
 	}
-	return hashutil.Combine(classKey(rec, ua, uaOK), hashutil.Hash64(device))
+	return hashutil.Combine(class, hashutil.Hash64(device))
 }
 
 // inconsistent reports whether the record presents a swapped identity
@@ -137,6 +141,7 @@ func (h *Hybrid) Len() int { return len(h.entries) }
 // Add implements fpstalker.Linker.
 func (h *Hybrid) Add(id string, rec *fingerprint.Record) {
 	e := &entry{id: id, rec: rec}
+	e.fpHash, e.eqHash = rec.FP.Hashes()
 	if ua, err := useragent.CachedParse(rec.FP.UserAgent); err == nil {
 		e.ua, e.uaOK = ua, true
 	}
@@ -144,7 +149,7 @@ func (h *Hybrid) Add(id string, rec *fingerprint.Record) {
 	e.stable = hashutil.Combine(e.class, hashutil.Hash64(e.ua.Device))
 	if i, ok := h.byID[id]; ok {
 		old := h.entries[i]
-		h.removeFrom(h.byExact, old.rec.FP.Hash(false), i)
+		h.removeFrom(h.byExact, old.fpHash, i)
 		h.removeFrom(h.byStable, old.stable, i)
 		h.removeFrom(h.byClass, old.class, i)
 		if inconsistent(old.rec) {
@@ -161,7 +166,7 @@ func (h *Hybrid) Add(id string, rec *fingerprint.Record) {
 }
 
 func (h *Hybrid) indexEntry(e *entry, i int) {
-	h.byExact[e.rec.FP.Hash(false)] = append(h.byExact[e.rec.FP.Hash(false)], i)
+	h.byExact[e.fpHash] = append(h.byExact[e.fpHash], i)
 	h.byStable[e.stable] = append(h.byStable[e.stable], i)
 	h.byClass[e.class] = append(h.byClass[e.class], i)
 	if inconsistent(e.rec) {
@@ -191,8 +196,9 @@ func (h *Hybrid) TopK(rec *fingerprint.Record, k int) []fpstalker.Candidate {
 	// Advice 6 fast path: exact re-presentation.
 	if idxs := h.byExact[rec.FP.Hash(false)]; len(idxs) > 0 {
 		var cands []fpstalker.Candidate
+		qEq := rec.FP.Hash(true)
 		for _, i := range idxs {
-			if h.entries[i].rec.FP.Equal(rec.FP) {
+			if e := h.entries[i]; e.rec.FP.EqualHashed(e.eqHash, rec.FP, qEq) {
 				cands = append(cands, fpstalker.Candidate{ID: h.entries[i].id, Score: 1e9})
 			}
 		}
@@ -213,22 +219,28 @@ func (h *Hybrid) TopK(rec *fingerprint.Record, k int) []fpstalker.Candidate {
 	// check the (tiny) alias set in their class, to find their own
 	// desktop-requested or spoofed past self.
 	class := classKey(rec, qUA, qOK)
-	var bucket []int
+	var bucket, alias []int
 	if inconsistent(rec) {
 		bucket = h.byClass[class]
 	} else {
-		bucket = h.byStable[stableKey(rec, qUA, qOK)]
-		if alias := h.byAlias[class]; len(alias) > 0 {
-			bucket = append(append([]int(nil), bucket...), alias...)
-		}
+		bucket = h.byStable[stableKey(class, qUA, qOK)]
+		alias = h.byAlias[class]
+	}
+	// Buckets hold each entry once; only an alias entry that also sits
+	// in the stable bucket could be scored twice.
+	var seen map[int]bool
+	if len(alias) > 0 {
+		seen = make(map[int]bool, len(bucket)+len(alias))
+		bucket = append(append([]int(nil), bucket...), alias...)
 	}
 	var cands []fpstalker.Candidate
-	seen := make(map[int]bool, len(bucket))
 	for _, i := range bucket {
-		if seen[i] {
-			continue
+		if seen != nil {
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
 		}
-		seen[i] = true
 		e := h.entries[i]
 		score, ok := h.score(rec, qUA, qOK, e)
 		if ok {
@@ -243,10 +255,10 @@ func (h *Hybrid) TopK(rec *fingerprint.Record, k int) []fpstalker.Candidate {
 }
 
 func sortCands(cands []fpstalker.Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
+	slices.SortFunc(cands, func(a, b fpstalker.Candidate) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return cands[i].ID < cands[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }
