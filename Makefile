@@ -5,7 +5,10 @@ GO ?= go
 BENCHTIME_MATCH ?= 2000x
 BENCHTIME_PIPELINE ?= 3x
 
-.PHONY: check lint-fmt lint-determinism bench-compile build vet test race bench bench-pipeline bench-forest bench-ingest bench-linkd bench-scripts bench-1m chaos
+# Fuzzing budget per target for fuzz-smoke.
+FUZZTIME ?= 10s
+
+.PHONY: check lint-fmt lint-determinism bench-compile build vet test race bench bench-pipeline bench-forest bench-ingest bench-linkd bench-scripts bench-1m chaos fuzz-smoke
 
 ## check: the full gate — gofmt, build, vet, determinism lint, the
 ## bench-compile smoke, and the race-enabled test suite. The
@@ -64,6 +67,12 @@ bench-compile:
 ## the race detector.
 chaos:
 	$(GO) test -race -count=3 -run 'TestChaos|TestRecover|TestShutdown|TestSeqIdempotent|TestWAL' ./internal/collector/ ./internal/storage/ ./internal/linkd/
+
+## fuzz-smoke: every Fuzz* target in the module, found with
+## `go test -list`, fuzzed for FUZZTIME each. Kept out of check so the
+## gate's time does not grow; CI runs it as its own job.
+fuzz-smoke:
+	FUZZTIME=$(FUZZTIME) sh scripts/fuzz_smoke.sh
 
 build:
 	$(GO) build ./...

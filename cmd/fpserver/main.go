@@ -18,8 +18,10 @@
 // than log history.
 //
 // Clients negotiate length-prefixed CRC-framed binary requests via a
-// hello exchange; -framing json declines the upgrade and keeps every
-// connection on newline-JSON.
+// hello exchange; the frames carry the binary record codec, not JSON.
+// -framing json declines the upgrade and keeps every connection on
+// newline-JSON, which is also where binary clients from when frames
+// carried JSON end up: the server declines their upgrade token.
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, lets
 // in-flight submissions finish (-drain-timeout bounds the wait), runs

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fpdyn/internal/fingerprint"
-	"fpdyn/internal/storage"
 )
 
 // Browser is the surface the collection client's task manager probes.
@@ -203,11 +202,10 @@ type Client struct {
 	dec  *json.Decoder
 
 	// binary framing state, set by Negotiate: br reads frames starting
-	// with whatever the JSON decoder had buffered, wbuf is the reused
-	// outbound frame.
-	binary bool
-	br     *bufio.Reader
-	wbuf   []byte
+	// with whatever the JSON decoder had buffered; fc is nil while the
+	// connection is on newline-JSON.
+	br *bufio.Reader
+	fc *frameCodec
 
 	bytesSent atomic.Int64
 	submitted atomic.Int64
@@ -258,26 +256,24 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 // exchange performs one request/response cycle without interpreting
 // TypeError — Negotiate needs the raw reply to fall back gracefully.
 func (c *Client) exchange(req *Request) (*Response, error) {
-	var resp Response
-	if c.binary {
-		payload, err := json.Marshal(req)
+	if c.fc != nil {
+		c.fc.payload = appendRequest(c.fc.payload[:0], req)
+		n, err := c.fc.send(c.conn)
+		c.bytesSent.Add(int64(n))
 		if err != nil {
 			return nil, fmt.Errorf("collector: send: %w", err)
 		}
-		c.wbuf = storage.AppendFrame(c.wbuf[:0], payload)
-		if _, err := c.conn.Write(c.wbuf); err != nil {
-			return nil, fmt.Errorf("collector: send: %w", err)
-		}
-		c.bytesSent.Add(int64(len(c.wbuf)))
-		reply, err := storage.ReadFrame(c.br, 0)
+		reply, err := c.fc.read(c.br, 0)
 		if err != nil {
 			return nil, fmt.Errorf("collector: recv: %w", err)
 		}
-		if err := json.Unmarshal(reply, &resp); err != nil {
+		resp, err := decodeResponse(&c.fc.dec, reply)
+		if err != nil {
 			return nil, fmt.Errorf("collector: recv: %w", err)
 		}
-		return &resp, nil
+		return resp, nil
 	}
+	var resp Response
 	if err := c.enc.Encode(req); err != nil {
 		return nil, fmt.Errorf("collector: send: %w", err)
 	}
@@ -289,20 +285,20 @@ func (c *Client) exchange(req *Request) (*Response, error) {
 
 // Negotiate asks the server to switch the connection to binary
 // framing and returns the framing now in effect. A legacy server
-// answers hello with an error; the client stays on newline-JSON and
-// keeps working, so Negotiate is safe to call against any server.
-// Call it once, before submissions, from the goroutine that owns the
-// client.
+// declines — it answers hello with framing json, or with an error when
+// it predates hello — and the client stays on newline-JSON and keeps
+// working, so Negotiate is safe to call against any server. Call it
+// once, before submissions, from the goroutine that owns the client.
 func (c *Client) Negotiate() (string, error) {
-	if c.binary {
+	if c.fc != nil {
 		return FramingBinary, nil
 	}
-	resp, err := c.exchange(&Request{Type: TypeHello, Framing: FramingBinary})
+	resp, err := c.exchange(&Request{Type: TypeHello, Framing: binaryWire})
 	if err != nil {
 		return "", err
 	}
 	switch {
-	case resp.Type == TypeHello && resp.Framing == FramingBinary:
+	case resp.Type == TypeHello && resp.Framing == binaryWire:
 		// The switch takes effect after the hello reply. The JSON
 		// decoder may have read ahead past that reply; hand its
 		// buffered remainder to the frame reader so no bytes are lost.
@@ -316,8 +312,8 @@ func (c *Client) Negotiate() (string, error) {
 		case b != '\n':
 			return "", fmt.Errorf("collector: unexpected byte %q after hello reply", b)
 		}
-		c.binary = true
 		c.br = br
+		c.fc = &frameCodec{}
 		return FramingBinary, nil
 	case resp.Type == TypeHello || resp.Type == TypeError:
 		// Declined, or a legacy server that does not know hello at
@@ -330,7 +326,7 @@ func (c *Client) Negotiate() (string, error) {
 
 // Framing returns the framing mode the connection is currently in.
 func (c *Client) Framing() string {
-	if c.binary {
+	if c.fc != nil {
 		return FramingBinary
 	}
 	return FramingJSON

@@ -133,11 +133,19 @@ func TestRestoreMissingValue(t *testing.T) {
 	}
 }
 
-// startServer spins up a TCP server on an ephemeral port; it is torn
-// down at test end.
+// startServer spins up a TCP server over an in-memory store on an
+// ephemeral port; it is torn down at test end.
 func startServer(t *testing.T) (*Server, *storage.Store, string) {
 	t.Helper()
 	store := storage.NewStore()
+	srv, addr := serve(t, store)
+	return srv, store, addr
+}
+
+// serve spins up a TCP server over store on an ephemeral port; it is
+// torn down at test end.
+func serve(t *testing.T, store Backend) (*Server, string) {
+	t.Helper()
 	srv := NewServer(store)
 	srv.Logf = t.Logf
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -152,7 +160,7 @@ func startServer(t *testing.T) (*Server, *storage.Store, string) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, store, lis.Addr().String()
+	return srv, lis.Addr().String()
 }
 
 func TestEndToEndSubmit(t *testing.T) {

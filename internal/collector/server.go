@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fpdyn/internal/fingerprint"
+	"fpdyn/internal/hashutil"
 	"fpdyn/internal/obs"
 	"fpdyn/internal/storage"
 )
@@ -410,14 +411,13 @@ func ReadLine(br *bufio.Reader, maxLine int) ([]byte, error) {
 
 // handle runs the request loop for one connection. A connection starts
 // in newline-JSON framing; a hello exchange may switch it to binary
-// frames (CRC-32C, length-prefixed — the WAL's frame format), in which
-// case the switch takes effect for the request after the hello on both
-// sides.
+// frames (CRC-32C, length-prefixed — the WAL's frame format — carrying
+// binary payloads), in which case the switch takes effect for the
+// request after the hello on both sides.
 func (s *Server) handle(conn net.Conn) error {
 	br := bufio.NewReader(countingReader{conn, s.metrics.bytesReceived})
 	enc := json.NewEncoder(conn)
-	binary := false
-	var wbuf []byte // reused binary response frame
+	var fc *frameCodec // set once the connection is in binary framing
 	for {
 		if !s.draining.Load() {
 			if rt := s.readTimeout(); rt > 0 {
@@ -426,8 +426,8 @@ func (s *Server) handle(conn net.Conn) error {
 		}
 		var payload []byte
 		var err error
-		if binary {
-			payload, err = storage.ReadFrame(br, s.maxFrame())
+		if fc != nil {
+			payload, err = fc.read(br, s.maxFrame())
 			if errors.Is(err, storage.ErrFrameSize) {
 				err = ErrFrameTooLong
 			}
@@ -441,7 +441,7 @@ func (s *Server) handle(conn net.Conn) error {
 			case errors.Is(err, ErrFrameTooLong):
 				// Best-effort rejection before hanging up.
 				s.metrics.framesRejected.Inc()
-				s.writeResponse(conn, enc, binary, &wbuf, &Response{Type: TypeError, Error: "request exceeds frame limit"})
+				s.writeResponse(conn, enc, fc, &Response{Type: TypeError, Error: "request exceeds frame limit"})
 				return ErrFrameTooLong
 			case s.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded):
 				return nil // drained: the connection went idle past the grace
@@ -452,19 +452,19 @@ func (s *Server) handle(conn net.Conn) error {
 		if len(payload) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(payload, &req); err != nil {
-			s.writeResponse(conn, enc, binary, &wbuf, &Response{Type: TypeError, Error: "malformed request"})
+		req, err := parseRequest(fc, payload)
+		if err != nil {
+			s.writeResponse(conn, enc, fc, &Response{Type: TypeError, Error: "malformed request"})
 			return err
 		}
-		resp := s.dispatch(&req)
-		if err := s.writeResponse(conn, enc, binary, &wbuf, resp); err != nil {
+		resp := s.dispatch(req)
+		if err := s.writeResponse(conn, enc, fc, resp); err != nil {
 			return err
 		}
-		if resp.Type == TypeHello && resp.Framing == FramingBinary {
+		if fc == nil && resp.Type == TypeHello && resp.Framing == binaryWire {
 			// The hello reply itself went out in the old framing; both
 			// sides switch starting with the next message.
-			binary = true
+			fc = &frameCodec{}
 		}
 		// During a drain the loop keeps serving — a submission spans two
 		// round trips (check, then submit), so cutting after one response
@@ -473,19 +473,30 @@ func (s *Server) handle(conn net.Conn) error {
 	}
 }
 
-func (s *Server) writeResponse(conn net.Conn, enc *json.Encoder, binary bool, wbuf *[]byte, resp *Response) error {
+// parseRequest decodes one request payload in the connection's
+// framing: binary when fc is set, JSON otherwise.
+func parseRequest(fc *frameCodec, payload []byte) (*Request, error) {
+	if fc != nil {
+		return decodeRequest(&fc.dec, payload)
+	}
+	var req Request
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// writeResponse writes resp in the connection's framing: binary when
+// fc is set, newline-JSON otherwise.
+func (s *Server) writeResponse(conn net.Conn, enc *json.Encoder, fc *frameCodec, resp *Response) error {
 	if wt := s.writeTimeout(); wt > 0 {
 		conn.SetWriteDeadline(time.Now().Add(wt))
 	}
-	if !binary {
+	if fc == nil {
 		return enc.Encode(resp)
 	}
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	*wbuf = storage.AppendFrame((*wbuf)[:0], payload)
-	_, err = conn.Write(*wbuf)
+	fc.payload = appendResponse(fc.payload[:0], resp)
+	_, err := fc.send(conn)
 	return err
 }
 
@@ -520,8 +531,8 @@ func (s *Server) dispatchInner(req *Request) *Response {
 		return &Response{Type: TypePong}
 	case TypeHello:
 		f := FramingJSON
-		if req.Framing == FramingBinary && !s.DisableBinary {
-			f = FramingBinary
+		if req.Framing == binaryWire && !s.DisableBinary {
+			f = binaryWire
 		}
 		return &Response{Type: TypeHello, Framing: f}
 	case TypeBatch:
@@ -541,16 +552,7 @@ func (s *Server) dispatchInner(req *Request) *Response {
 				itemErr = "submit without record"
 				break
 			}
-			bad := false
-			for h, content := range it.Values {
-				if err := s.store.PutValueDurable(h, content); err != nil {
-					itemErr = "value not durable: " + err.Error()
-					bad = true
-					break
-				}
-				s.metrics.valuesReceived.Inc()
-			}
-			if bad {
+			if itemErr = s.putValues(it.Values); itemErr != "" {
 				break
 			}
 			rec, err := RestoreRecord(it.Record, it.Refs, s.store.Value)
@@ -593,11 +595,8 @@ func (s *Server) dispatchInner(req *Request) *Response {
 		if req.Record == nil || req.Record.FP == nil {
 			return &Response{Type: TypeError, Error: "submit without record"}
 		}
-		for h, content := range req.Values {
-			if err := s.store.PutValueDurable(h, content); err != nil {
-				return &Response{Type: TypeError, Error: "value not durable: " + err.Error()}
-			}
-			s.metrics.valuesReceived.Inc()
+		if msg := s.putValues(req.Values); msg != "" {
+			return &Response{Type: TypeError, Error: msg}
 		}
 		rec, err := RestoreRecord(req.Record, req.Refs, s.store.Value)
 		if err != nil {
@@ -618,4 +617,22 @@ func (s *Server) dispatchInner(req *Request) *Response {
 	default:
 		return &Response{Type: TypeError, Error: "unknown request type " + req.Type}
 	}
+}
+
+// putValues lands the value blobs a submit or batch item carries and
+// returns why it refused them, or "" when all are stored. A blob must
+// be the content its hash names: stored under any other hash it would
+// restore every later record that references that hash — any client's
+// — with the wrong list.
+func (s *Server) putValues(values map[string][]byte) string {
+	for h, content := range values {
+		if hashutil.SHA1HexBytes(content) != h {
+			return "value does not match its hash " + h
+		}
+		if err := s.store.PutValueDurable(h, content); err != nil {
+			return "value not durable: " + err.Error()
+		}
+		s.metrics.valuesReceived.Inc()
+	}
+	return ""
 }

@@ -1,12 +1,15 @@
 package fingerprint
 
 // Binary record codec: the on-disk form of a Record in the spill runs,
-// the storage WAL and compaction snapshots, and the linkd add journal.
-// JSON stays the wire and export format; this one exists because every
-// disk layer re-reads its records and encoding/json dominated the cost.
+// the storage WAL and compaction snapshots and the linkd add journal,
+// and the payload codec of the collector's binary frames. JSON stays
+// the linkd wire, the newline-JSON collector wire and the export
+// format; this one exists because every disk layer re-reads its records
+// and encoding/json dominated the cost.
 //
-// Layout of one record (all integers are Go varints: uvarint for counts
-// and lengths, zig-zag varint for signed values):
+// Layout of one record (all integers are Go varints in their shortest
+// encoding: uvarint for counts and lengths, zig-zag varint for signed
+// values):
 //
 //	byte     RecordVersion (1; never '{', so a payload that starts with
 //	         it cannot be mistaken for a legacy JSON one)
@@ -55,8 +58,8 @@ func AppendRecord(dst []byte, r *Record) []byte {
 	dst = AppendString(dst, r.Browser)
 	dst = AppendString(dst, r.OS)
 	dst = AppendString(dst, r.Device)
-	dst = appendBool(dst, r.Mobile)
-	dst = appendBool(dst, r.FP != nil)
+	dst = AppendBool(dst, r.Mobile)
+	dst = AppendBool(dst, r.FP != nil)
 	if r.FP != nil {
 		dst = appendFingerprint(dst, r.FP)
 	}
@@ -70,11 +73,11 @@ func appendFingerprint(dst []byte, fp *Fingerprint) []byte {
 	dst = AppendString(dst, fp.Language)
 	dst = appendStrings(dst, fp.HeaderList)
 	dst = appendStrings(dst, fp.Plugins)
-	dst = appendBool(dst, fp.CookieEnabled)
-	dst = appendBool(dst, fp.WebGL)
-	dst = appendBool(dst, fp.LocalStorage)
-	dst = appendBool(dst, fp.AddBehavior)
-	dst = appendBool(dst, fp.OpenDatabase)
+	dst = AppendBool(dst, fp.CookieEnabled)
+	dst = AppendBool(dst, fp.WebGL)
+	dst = AppendBool(dst, fp.LocalStorage)
+	dst = AppendBool(dst, fp.AddBehavior)
+	dst = AppendBool(dst, fp.OpenDatabase)
 	dst = binary.AppendVarint(dst, int64(fp.TimezoneOffset))
 	dst = appendStrings(dst, fp.Languages)
 	dst = appendStrings(dst, fp.Fonts)
@@ -92,10 +95,10 @@ func appendFingerprint(dst []byte, fp *Fingerprint) []byte {
 	dst = AppendString(dst, fp.IPCity)
 	dst = AppendString(dst, fp.IPRegion)
 	dst = AppendString(dst, fp.IPCountry)
-	dst = appendBool(dst, fp.ConsLanguage)
-	dst = appendBool(dst, fp.ConsResolution)
-	dst = appendBool(dst, fp.ConsOS)
-	dst = appendBool(dst, fp.ConsBrowser)
+	dst = AppendBool(dst, fp.ConsLanguage)
+	dst = AppendBool(dst, fp.ConsResolution)
+	dst = AppendBool(dst, fp.ConsOS)
+	dst = AppendBool(dst, fp.ConsBrowser)
 	dst = AppendString(dst, fp.GPUImageHash)
 	return dst
 }
@@ -123,18 +126,25 @@ func appendStrings(dst []byte, ss []string) []byte {
 	return dst
 }
 
-func appendBool(dst []byte, b bool) []byte {
+// AppendBool appends b as one byte, 0 or 1.
+func AppendBool(dst []byte, b bool) []byte {
 	if b {
 		return append(dst, 1)
 	}
 	return append(dst, 0)
 }
 
-// maxInterned bounds a Decoder's intern table. The interned fields
-// (user agent, fonts, plugins, GPU strings, languages, ...) take a few
-// thousand distinct values even in large populations; when a table
-// fills anyway it is cleared and refills with what is hot.
-const maxInterned = 8192
+// Bounds on a Decoder's intern table. The interned fields (user agent,
+// fonts, plugins, GPU strings, languages, ...) take a few thousand
+// distinct short values even in large populations; when a table
+// reaches either bound anyway it is cleared and refills with what is
+// hot. Longer strings are copied, not interned, so what a table keeps
+// stays within maxInternedBytes whatever the payloads hold.
+const (
+	maxInterned      = 8192
+	maxInternedBytes = 1 << 20
+	maxInternLen     = 1 << 10
+)
 
 // Decoder reads binary records and the length-prefixed fields around
 // them from one payload at a time. Decoded strings never alias the
@@ -148,9 +158,10 @@ const maxInterned = 8192
 // Errors are sticky: after the first malformed read every later read
 // returns a zero value, and Finish reports the error.
 type Decoder struct {
-	b    []byte
-	err  error
-	strs map[string]string
+	b         []byte
+	err       error
+	strs      map[string]string
+	strsBytes int // total length of the strings in strs
 }
 
 // Reset points the decoder at a new payload and clears any error. The
@@ -164,12 +175,16 @@ func (d *Decoder) Reset(b []byte) {
 // unread: a payload must be consumed exactly.
 func (d *Decoder) Finish() error {
 	if d.err == nil && len(d.b) > 0 {
-		d.fail("%d trailing bytes", len(d.b))
+		d.Fail("%d trailing bytes", len(d.b))
 	}
 	return d.err
 }
 
-func (d *Decoder) fail(format string, args ...any) {
+// Fail records a malformation found by a caller layering its own
+// format on the Decoder, with the same sticky semantics as the
+// Decoder's own errors: later reads return zero values and Finish
+// reports the first error.
+func (d *Decoder) Fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
 	}
@@ -179,17 +194,17 @@ func (d *Decoder) fail(format string, args ...any) {
 // Record reads one binary record.
 func (d *Decoder) Record() *Record {
 	if v := d.Byte(); v != RecordVersion {
-		d.fail("record version %d, want %d", v, RecordVersion)
+		d.Fail("record version %d, want %d", v, RecordVersion)
 		return nil
 	}
 	sec := d.Varint()
 	nsec := d.Uvarint()
 	off := d.Varint()
 	if nsec >= 1e9 {
-		d.fail("nanoseconds %d out of range", nsec)
+		d.Fail("nanoseconds %d out of range", nsec)
 	}
 	if off < -(1<<31) || off >= 1<<31 {
-		d.fail("zone offset %d out of range", off)
+		d.Fail("zone offset %d out of range", off)
 	}
 	r := &Record{
 		UserID:  d.CopyString(),
@@ -197,9 +212,9 @@ func (d *Decoder) Record() *Record {
 		Browser: d.Intern(),
 		OS:      d.Intern(),
 		Device:  d.Intern(),
-		Mobile:  d.boolean(),
+		Mobile:  d.Bool(),
 	}
-	if d.boolean() {
+	if d.Bool() {
 		r.FP = d.fingerprint()
 	}
 	if d.err != nil {
@@ -231,11 +246,11 @@ func (d *Decoder) fingerprint() *Fingerprint {
 	fp.Language = d.Intern()
 	fp.HeaderList = d.strings()
 	fp.Plugins = d.strings()
-	fp.CookieEnabled = d.boolean()
-	fp.WebGL = d.boolean()
-	fp.LocalStorage = d.boolean()
-	fp.AddBehavior = d.boolean()
-	fp.OpenDatabase = d.boolean()
+	fp.CookieEnabled = d.Bool()
+	fp.WebGL = d.Bool()
+	fp.LocalStorage = d.Bool()
+	fp.AddBehavior = d.Bool()
+	fp.OpenDatabase = d.Bool()
 	fp.TimezoneOffset = d.Int()
 	fp.Languages = d.strings()
 	fp.Fonts = d.strings()
@@ -253,10 +268,10 @@ func (d *Decoder) fingerprint() *Fingerprint {
 	fp.IPCity = d.Intern()
 	fp.IPRegion = d.Intern()
 	fp.IPCountry = d.Intern()
-	fp.ConsLanguage = d.boolean()
-	fp.ConsResolution = d.boolean()
-	fp.ConsOS = d.boolean()
-	fp.ConsBrowser = d.boolean()
+	fp.ConsLanguage = d.Bool()
+	fp.ConsResolution = d.Bool()
+	fp.ConsOS = d.Bool()
+	fp.ConsBrowser = d.Bool()
 	fp.GPUImageHash = d.Intern()
 	return fp
 }
@@ -264,7 +279,7 @@ func (d *Decoder) fingerprint() *Fingerprint {
 // Byte reads one raw byte.
 func (d *Decoder) Byte() byte {
 	if len(d.b) == 0 {
-		d.fail("truncated")
+		d.Fail("truncated")
 		return 0
 	}
 	v := d.b[0]
@@ -272,34 +287,36 @@ func (d *Decoder) Byte() byte {
 	return v
 }
 
-// boolean reads one 0/1 byte.
-func (d *Decoder) boolean() bool {
+// Bool reads one 0/1 byte.
+func (d *Decoder) Bool() bool {
 	switch d.Byte() {
 	case 0:
 		return false
 	case 1:
 		return true
 	}
-	d.fail("bool byte out of range")
+	d.Fail("bool byte out of range")
 	return false
 }
 
-// Uvarint reads one unsigned varint.
+// Uvarint reads one unsigned varint. Only the shortest encoding — the
+// one binary.AppendUvarint writes — is accepted, so every value has
+// exactly one encoding and re-encoding a decoded payload reproduces it.
 func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("bad uvarint")
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.Fail("bad uvarint")
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
-// Varint reads one signed (zig-zag) varint.
+// Varint reads one signed (zig-zag) varint, shortest encoding only.
 func (d *Decoder) Varint() int64 {
 	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("bad varint")
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.Fail("bad varint")
 		return 0
 	}
 	d.b = d.b[n:]
@@ -310,7 +327,7 @@ func (d *Decoder) Varint() int64 {
 func (d *Decoder) Int() int {
 	v := d.Varint()
 	if int64(int(v)) != v {
-		d.fail("int %d out of range", v)
+		d.Fail("int %d out of range", v)
 		return 0
 	}
 	return int(v)
@@ -322,7 +339,7 @@ func (d *Decoder) Int() int {
 func (d *Decoder) Count() int {
 	n := d.Uvarint()
 	if n > uint64(len(d.b)) {
-		d.fail("count %d exceeds %d remaining bytes", n, len(d.b))
+		d.Fail("count %d exceeds %d remaining bytes", n, len(d.b))
 		return 0
 	}
 	return int(n)
@@ -332,7 +349,7 @@ func (d *Decoder) Count() int {
 func (d *Decoder) raw() []byte {
 	n := d.Uvarint()
 	if n > uint64(len(d.b)) {
-		d.fail("length %d exceeds %d remaining bytes", n, len(d.b))
+		d.Fail("length %d exceeds %d remaining bytes", n, len(d.b))
 		return nil
 	}
 	v := d.b[:n]
@@ -360,18 +377,27 @@ func (d *Decoder) Intern() string {
 	if len(b) == 0 {
 		return ""
 	}
+	if len(b) > maxInternLen {
+		return string(b)
+	}
 	if s, ok := d.strs[string(b)]; ok {
 		return s
 	}
 	if d.strs == nil {
 		d.strs = make(map[string]string)
-	} else if len(d.strs) >= maxInterned {
+	} else if len(d.strs) >= maxInterned || d.strsBytes+len(b) > maxInternedBytes {
 		clear(d.strs)
+		d.strsBytes = 0
 	}
 	s := string(b)
 	d.strs[s] = s
+	d.strsBytes += len(s)
 	return s
 }
+
+// InternedBytes reports the total length of the strings the intern
+// table holds; it never exceeds 1 MiB.
+func (d *Decoder) InternedBytes() int { return d.strsBytes }
 
 // strings reads one string list (see the layout note: 0 is nil).
 func (d *Decoder) strings() []string {

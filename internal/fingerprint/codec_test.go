@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -101,6 +102,24 @@ func TestDecoderInternsAndBounds(t *testing.T) {
 		d.Intern()
 		if len(d.strs) > maxInterned {
 			t.Fatalf("intern table grew to %d", len(d.strs))
+		}
+	}
+	// Bytes are bounded too: long strings are copied, not kept, and
+	// many mid-sized ones clear the table before it passes its budget.
+	held := d.InternedBytes()
+	for _, n := range []int{maxInternLen + 1, maxInternLen} {
+		for i := 0; i < 4*maxInternedBytes/n; i++ {
+			s := (strconv.Itoa(i) + strings.Repeat("x", n))[:n]
+			d.Reset(AppendString(nil, s))
+			if got := d.Intern(); got != s {
+				t.Fatalf("interned %d bytes as %d", n, len(got))
+			}
+			if n > maxInternLen && d.InternedBytes() != held {
+				t.Fatalf("a %d-byte string was interned", n)
+			}
+			if d.InternedBytes() > maxInternedBytes {
+				t.Fatalf("intern table holds %d bytes", d.InternedBytes())
+			}
 		}
 	}
 }

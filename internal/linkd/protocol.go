@@ -10,10 +10,12 @@
 // linking quality and cost are both functions of how much history the
 // matcher retains).
 //
-// The wire protocol reuses the collector's convention: connections
-// start in newline-delimited JSON and a hello exchange may switch both
-// sides to CRC-32C length-prefixed binary frames (storage.AppendFrame/
-// ReadFrame) carrying the same JSON payloads.
+// The wire protocol reuses the collector's hello convention:
+// connections start in newline-delimited JSON and a hello exchange may
+// switch both sides to CRC-32C length-prefixed binary frames
+// (storage.AppendFrame/ReadFrame). Unlike the collector's frames, which
+// carry the binary record codec, linkd's carry the same JSON payloads
+// as its lines.
 package linkd
 
 import (
