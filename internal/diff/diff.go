@@ -20,6 +20,7 @@ package diff
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -188,7 +189,12 @@ func Diff(a, b *fingerprint.Fingerprint) *Delta {
 
 // DiffSets computes the two subtractions of §2.3.2: elements of b not
 // in a (added) and elements of a not in b (deleted). Results are sorted.
+// Equal inputs, the common case between consecutive fingerprints of one
+// instance, return nil, nil without building either set.
 func DiffSets(a, b []string) (added, deleted []string) {
+	if slices.Equal(a, b) {
+		return nil, nil
+	}
 	inA := make(map[string]bool, len(a))
 	for _, s := range a {
 		inA[s] = true

@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -55,6 +56,7 @@ type device struct {
 	adobe     bool
 	libre     bool
 	wps       bool
+	fontMemo  fontMemo // fonts() under the current software flags
 
 	emojiMajor int // device emoji pack design generation
 	emojiMinor int // device emoji rendering generation
@@ -86,6 +88,7 @@ func cloneDevice(src *device, serial int) *device {
 	dv.isClone = true
 	dv.baseFonts = append([]string(nil), src.baseFonts...)
 	dv.extraLangs = append([]string(nil), src.extraLangs...)
+	dv.fontMemo = fontMemo{}
 	dv.schedule = nil
 	dv.applied = nil
 	dv.scheduleIdx = 0
@@ -119,8 +122,47 @@ func (dv *device) changesBetween(from, to time.Time) []devChange {
 	return out
 }
 
-// fonts assembles the device's current font list from its components.
+// fontKey packs the software flags a device's font list depends on.
+// baseFonts never changes after creation, so the key and baseFonts
+// together determine the list.
+type fontKey uint8
+
+func (dv *device) fontKey() fontKey {
+	var k fontKey
+	for i, on := range [...]bool{dv.office, dv.officeUpd, dv.adobe, dv.libre, dv.wps} {
+		if on {
+			k |= 1 << i
+		}
+	}
+	return k
+}
+
+// fontMemo holds the last font list computed and the fontKey it was
+// computed under. Software flags change a few times per device at
+// most, so one entry serves almost every visit. The list is shared by
+// every record that reports it and must not be modified; it is clipped
+// so an append by a consumer copies instead of writing into it.
+type fontMemo struct {
+	valid bool
+	key   fontKey
+	list  []string
+}
+
+func (m *fontMemo) get(k fontKey, compute func() []string) []string {
+	if !m.valid || m.key != k {
+		*m = fontMemo{valid: true, key: k, list: slices.Clip(compute())}
+	}
+	return m.list
+}
+
+// fonts returns the device's current font list; see fontMemo.
 func (dv *device) fonts() []string {
+	return dv.fontMemo.get(dv.fontKey(), dv.buildFonts)
+}
+
+// buildFonts assembles the device's current font list from its
+// components.
+func (dv *device) buildFonts() []string {
 	out := append([]string(nil), dv.baseFonts...)
 	if dv.office {
 		out = fingerprint.AddFonts(out, fontdb.OfficeDetect)
@@ -192,6 +234,10 @@ type instance struct {
 	// device, 9 = forced fallback.
 	dxOverride int
 	dxQuirky   bool // device+driver combination exhibiting the quirk
+
+	// preFF57Fonts memoizes visibleFonts for Firefox before 57, keyed
+	// like the device's own font memo.
+	preFF57Fonts fontMemo
 
 	cookie  string
 	cookieN int
@@ -281,13 +327,16 @@ func (in *instance) ua() useragent.UA {
 }
 
 // visibleFonts returns the fonts this browser can detect: the device
-// fonts, minus the set Firefox only enumerates from version 57 on.
+// fonts, minus the set Firefox only enumerates from version 57 on. The
+// result is shared; see fontMemo.
 func (in *instance) visibleFonts() []string {
-	fonts := in.dev.fonts()
-	if in.family == useragent.Firefox && in.version.Compare(useragent.V(57)) < 0 {
-		fonts = fingerprint.RemoveFonts(fonts, fontdb.Firefox57)
+	dv := in.dev
+	if in.family != useragent.Firefox || in.version.Compare(useragent.V(57)) >= 0 {
+		return dv.fonts()
 	}
-	return fonts
+	return in.preFF57Fonts.get(dv.fontKey(), func() []string {
+		return fingerprint.RemoveFonts(dv.fonts(), fontdb.Firefox57)
+	})
 }
 
 // plugins returns the current plugin list.
@@ -325,9 +374,10 @@ func formatPixelRatio(pr float64) string {
 }
 
 // render produces the visit record for the instance at time now.
-// Rendered canvas and GPU images are registered into the dataset's
-// image stores (the server's dedup value store keeps full content,
-// which is what lets the offline analysis pixel-diff canvases).
+// Rendered canvas and GPU images come from the run's render cache and
+// are registered into the dataset's image stores (the server's dedup
+// value store keeps full content, which is what lets the offline
+// analysis pixel-diff canvases).
 func (in *instance) render(now time.Time, vs visitState, ds *Dataset) *fingerprint.Record {
 	dv := in.dev
 	ua := in.ua()
@@ -364,19 +414,18 @@ func (in *instance) render(now time.Time, vs visitState, ds *Dataset) *fingerpri
 		screen = "800x600"
 	}
 
-	cp := in.canvasParams()
-	cimg := canvas.Render(cp)
-	chash := cimg.Hash()
+	cr := ds.renders.canvasImage(in.canvasParams())
+	chash := cr.hash
 	if _, ok := ds.CanvasImages[chash]; !ok {
-		ds.CanvasImages[chash] = cimg
+		ds.CanvasImages[chash] = cr.img
 	}
 
 	gi := dv.gpu
 	gi.Driver = dv.driverGen*100 + dv.directX + in.dxOverride
-	gimg := canvas.RenderGPU(gi)
-	ghash := gimg.Hash()
+	gr := ds.renders.gpuImage(gi)
+	ghash := gr.hash
 	if _, ok := ds.CanvasImages[ghash]; !ok {
-		ds.CanvasImages[ghash] = gimg
+		ds.CanvasImages[ghash] = gr.img
 	}
 	if _, ok := ds.GPUImageInfo[ghash]; !ok {
 		ds.GPUImageInfo[ghash] = gi

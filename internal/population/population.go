@@ -55,6 +55,10 @@ type Dataset struct {
 	Geo          *geoip.DB
 	NumInstances int
 
+	// renders is the run's render cache, shared by every shard Dataset
+	// of one Simulate/SimulateSpill call.
+	renders *renderCache
+
 	// gpuFirst, when non-nil, records the (time, serial) of the render
 	// that claimed each GPU image hash — the spill path's cross-batch
 	// first-wins tiebreak (stream.go).
@@ -104,6 +108,7 @@ func simulateSerial(cfg Config) *Dataset {
 		CanvasImages: make(map[string]*canvas.Image),
 		GPUImageInfo: make(map[string]canvas.GPUInfo),
 		Geo:          geoip.New(cfg.Cities),
+		renders:      newRenderCache(),
 	}
 
 	var instances []*instance

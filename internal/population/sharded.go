@@ -42,7 +42,8 @@ type userShard struct {
 //
 // Users never share devices and the per-instance RNG streams are keyed
 // by global serial, so phases 1 and 3 are embarrassingly parallel; the
-// only shared state, the geolocation DB, is immutable after New.
+// only shared state is the geolocation DB, immutable after New, and
+// the run's render cache, which locks its own maps.
 func simulateSharded(cfg Config) *Dataset {
 	workers := parallel.Resolve(cfg.Workers)
 	geo := geoip.New(cfg.Cities)
@@ -75,8 +76,10 @@ func simulateSharded(cfg Config) *Dataset {
 	}
 
 	// Phase 3: per-shard visit loops into private Datasets. The shards
-	// share the immutable Geo; image stores are merged afterwards
-	// (identical hash → identical content, so first-wins is exact).
+	// share the immutable Geo and the run's render cache; image stores
+	// are merged afterwards (identical hash → identical content, so
+	// first-wins is exact).
+	renders := newRenderCache()
 	parallel.ForEach(workers, len(shards), func(i int) {
 		sh := shards[i]
 		sh.out = &Dataset{
@@ -84,6 +87,7 @@ func simulateSharded(cfg Config) *Dataset {
 			CanvasImages: make(map[string]*canvas.Image),
 			GPUImageInfo: make(map[string]canvas.GPUInfo),
 			Geo:          geo,
+			renders:      renders,
 		}
 		simulateVisits(cfg, sh.instances, sh.out)
 	})

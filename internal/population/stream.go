@@ -226,6 +226,9 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 		gpuBest = make(map[string]gpuFirstKey)
 	}
 
+	// One render cache serves every batch of the run.
+	renders := newRenderCache()
+
 	batchSize := opts.usersPerBatch()
 	instBase, devBase := 0, 0
 	for u0 := 0; u0 < cfg.Users; u0 += batchSize {
@@ -280,6 +283,7 @@ func SimulateSpill(cfg Config, opts StreamOptions) (sd *SpilledDataset, err erro
 				CanvasImages: make(map[string]*canvas.Image),
 				GPUImageInfo: make(map[string]canvas.GPUInfo),
 				Geo:          sd.Geo,
+				renders:      renders,
 			}
 			if gpuBest != nil {
 				sh.out.gpuFirst = make(map[string]gpuFirstKey)

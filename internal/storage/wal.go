@@ -85,7 +85,10 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 
 // SegmentFile is the file surface the WAL writes through. *os.File
 // satisfies it; faultinject wraps it to script write and fsync
-// failures.
+// failures. Under SyncInterval the background Sync runs without the
+// WAL's lock, so Sync must be safe to call concurrently with Write and
+// with another Sync, as it is on *os.File. The WAL never closes a file
+// while its background Sync is running.
 type SegmentFile interface {
 	io.Writer
 	Sync() error
@@ -277,8 +280,16 @@ type WAL struct {
 	// sticky-error gauge tracks it.
 	err error
 
+	// syncing is the segment file the SyncInterval loop is fsyncing
+	// outside w.mu, or nil. A rotation that retires that file leaves
+	// closing it to the loop (retireSyncing), so the background Sync
+	// never runs on a closed handle.
+	syncing       SegmentFile
+	retireSyncing bool
+
 	stopSync chan struct{}
 	syncDone chan struct{}
+	stopOnce sync.Once
 }
 
 // walMetrics is the WAL's obs wiring: latency histograms for the two
@@ -411,7 +422,9 @@ func (w *WAL) rotateLocked() error {
 		if err := w.fsyncLocked(); err != nil {
 			return fmt.Errorf("storage: wal rotate sync: %w", err)
 		}
-		if err := w.f.Close(); err != nil {
+		if w.f == w.syncing {
+			w.retireSyncing = true
+		} else if err := w.f.Close(); err != nil {
 			return fmt.Errorf("storage: wal rotate close: %w", err)
 		}
 		w.f = nil
@@ -599,6 +612,8 @@ func (w *WAL) syncLocked() error {
 	return nil
 }
 
+// syncLoop is the SyncInterval background fsync. It syncs outside
+// w.mu, so appends keep going while an fsync is in flight.
 func (w *WAL) syncLoop() {
 	defer close(w.syncDone)
 	t := time.NewTicker(w.opts.interval())
@@ -608,14 +623,47 @@ func (w *WAL) syncLoop() {
 		case <-w.stopSync:
 			return
 		case <-t.C:
-			w.mu.Lock()
-			if !w.closed && w.err == nil {
-				if err := w.fsyncLocked(); err != nil {
-					w.setErrLocked(err)
-				}
-			}
-			w.mu.Unlock()
+			w.backgroundSync()
 		}
+	}
+}
+
+// backgroundSync takes the active file under w.mu and syncs it
+// without holding the lock. Every failure counts and, unless an error
+// is already set, becomes the sticky error — also when a Rotate
+// replaced the file meanwhile: the unsynced bytes of the old segment
+// are part of the log, and the rotation's own Sync on the same file
+// need not see the error again (Linux reports a writeback error once
+// per open file). Close joins the loop before its final sync, so no
+// background failure is lost to it.
+func (w *WAL) backgroundSync() {
+	w.mu.Lock()
+	if w.err != nil {
+		w.mu.Unlock()
+		return
+	}
+	f := w.f
+	w.syncing = f
+	w.mu.Unlock()
+
+	start := time.Now()
+	err := f.Sync()
+	w.metrics.fsyncSeconds.ObserveDuration(time.Since(start))
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.syncing = nil
+	if err != nil {
+		w.metrics.fsyncFailures.Inc()
+	}
+	if w.retireSyncing {
+		w.retireSyncing = false
+		if cerr := f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("storage: wal rotate close: %w", cerr)
+		}
+	}
+	if err != nil && w.err == nil {
+		w.setErrLocked(err)
 	}
 }
 
@@ -629,12 +677,19 @@ func (w *WAL) Err() error {
 // Dir returns the segment directory.
 func (w *WAL) Dir() string { return w.opts.Dir }
 
-// Close performs a final sync and closes the active segment. Safe to
-// call twice.
+// Close stops the SyncInterval loop, waiting out a background fsync in
+// flight, then performs a final sync and closes the active segment.
+// Safe to call twice.
 func (w *WAL) Close() error {
+	if w.stopSync != nil {
+		w.stopOnce.Do(func() {
+			close(w.stopSync)
+			<-w.syncDone
+		})
+	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
@@ -647,12 +702,6 @@ func (w *WAL) Close() error {
 			err = cerr
 		}
 		w.f = nil
-	}
-	stop := w.stopSync
-	w.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-w.syncDone
 	}
 	return err
 }

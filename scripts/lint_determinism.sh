@@ -11,7 +11,8 @@
 # rule: the merged stream must be a pure function of the pushed items.
 # The script-trace simulator (internal/scriptsim) carries the same
 # contract as the population: worker-count-invariant corpora pinned by
-# golden digests.
+# golden digests. Further down, internal/population and internal/canvas
+# may not declare sync.Map or package-level maps either.
 #
 # Test files are exempt: they may time things or exercise randomness.
 set -u
@@ -37,6 +38,41 @@ for dir in internal/population internal/canvas internal/mlearn internal/extsort 
         # Date.now — guards generated/embedded JS snippets too.
         if grep -n 'Date\.now' "$f"; then
             echo "determinism lint: $f references Date.now" >&2
+            fail=1
+        fi
+    done
+done
+
+# Render caches and other memo tables (internal/population,
+# internal/canvas) are run-scoped: one Simulate/SimulateSpill call owns
+# them and hands them to its shards, so each run pays for its own
+# misses and no state outlives or leaks between runs. A package-level
+# map variable in a non-test file would be shared by every run in the
+# process; sync.Map, whose usual role is such a process-wide cache, is
+# refused outright, and so is a package-level variable holding a render
+# cache (`var rc = newRenderCache()` builds its maps in the
+# constructor, out of sight of the map[ match).
+for dir in internal/population internal/canvas; do
+    for f in "$dir"/*.go; do
+        case "$f" in
+        *_test.go) continue ;;
+        esac
+        if grep -n 'sync\.Map' "$f"; then
+            echo "determinism lint: $f uses sync.Map — keep caches in a run-scoped struct" >&2
+            fail=1
+        fi
+        # Package-level map or render-cache variables: a top-level
+        # `var` line, or an entry of a top-level `var ( ... )` block,
+        # that mentions map[ or renderCache/newRenderCache.
+        if awk '
+            /^var \($/ { inblock = 1; next }
+            inblock && /^\)/ { inblock = 0; next }
+            (/^var / || (inblock && /^\t[[:alnum:]_]/)) && /map\[|[rR]enderCache/ {
+                print FILENAME ":" FNR ": " $0; found = 1
+            }
+            END { exit found ? 0 : 1 }
+        ' "$f"; then
+            echo "determinism lint: $f declares a package-level map or render cache — keep caches in a run-scoped struct" >&2
             fail=1
         fi
     done
